@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_classify)
 
     x = sub.add_parser("crosscheck", help="theorem vs oracle campaign")
-    x.add_argument("--grid", default="std", choices=["std"])
     x.add_argument("--max-order", type=int, default=8)
     x.add_argument("--out", metavar="FILE")
     x.add_argument("--strict", action="store_true")

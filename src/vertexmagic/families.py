@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .canon import canonical_code
-from .graphs import Graph, GraphError, diameter
+from .graphs import Graph, GraphError, diameter, eccentricities, twin_roots
 
 
 class FamilyError(ValueError):
@@ -991,7 +991,11 @@ def enumerate_connected(n_max: int, rank: int, diam: int) -> list[Graph]:
 
     Growth by pendant attachment from the minimum-degree-2 seeds of that
     rank; pendant attachment never shrinks the diameter, so branches past the
-    target are pruned.  Deduplication is by canonical code.
+    target are pruned.  A pendant at v leaves the old distances unchanged, so
+    the child's diameter is max(diam(g), ecc(v) + 1) from the parent's
+    eccentricities.  Pendants on twins give isomorphic children, so only the
+    least vertex of each twin class gets one; that child is the one the
+    deduplication by canonical code would keep anyway.
     """
     if n_max > 11:
         raise GraphError("enumeration supports n_max <= 11")
@@ -1013,16 +1017,19 @@ def enumerate_connected(n_max: int, rank: int, diam: int) -> list[Graph]:
     for n in range(min(by_size, default=n_max + 1), n_max + 1):
         level = by_size.get(n, {})
         for code, g in sorted(level.items()):
-            if diameter(g) == diam:
+            ecc = eccentricities(g)
+            g_diam = max(ecc)
+            if g_diam == diam:
                 results[code] = g
             if n == n_max:
                 continue
+            root = twin_roots(g.masks)
             for v in range(g.n):
+                if root[v] != v or max(g_diam, ecc[v] + 1) > diam:
+                    continue
                 child = Graph.from_edges(
                     g.n + 1, list(g.edges) + [(v, g.n)]
                 )
-                if diameter(child) > diam:
-                    continue
                 by_size.setdefault(n + 1, {}).setdefault(
                     canonical_code(child), child
                 )

@@ -97,14 +97,35 @@ class StructuralProfile:
     cycle_rank: int
 
 
-def diameter(g: Graph) -> int:
-    best = 0
+def eccentricities(g: Graph) -> list[int]:
+    """Greatest distance from each vertex to any other."""
+    out = []
     for v in range(g.n):
         dist = g.bfs_distances(v)
         if min(dist) < 0:
             raise GraphError("diameter undefined for disconnected graph")
-        best = max(best, max(dist))
-    return best
+        out.append(max(dist))
+    return out
+
+
+def diameter(g: Graph) -> int:
+    return max(eccentricities(g))
+
+
+def twin_roots(masks: tuple[int, ...]) -> list[int]:
+    """Least vertex of each vertex's twin class.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}, i.e. false twins (equal
+    open neighbourhoods) or true twins (equal closed ones).  The relation is
+    an equivalence: a false and a true twin pair cannot share a vertex.
+    Swapping two twins is an automorphism.
+    """
+    n = len(masks)
+    return [
+        next(u for u in range(n)
+             if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
+        for v in range(n)
+    ]
 
 
 def cycle_rank(g: Graph) -> int:

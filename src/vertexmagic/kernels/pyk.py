@@ -2,7 +2,8 @@
 
 These are the fallback twins of the Cython module `_ck.pyx`; both expose the
 same three entry points with identical semantics and identical deterministic
-results (including search-node counts):
+results (including search-node counts).  Only this `min_code` prunes twins,
+which changes its work, never its codes:
 
   min_code(n, masks, cells)            canonical-form search
   search_exists(...)                   one mu-slice of the magic-labeling DFS
@@ -14,6 +15,8 @@ the negation table.
 """
 
 from __future__ import annotations
+
+from ..graphs import twin_roots
 
 BACKEND = "python"
 
@@ -49,6 +52,13 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     leaf installed the incumbent, so updates keep True flags truthful); a
     False flag merely disables pruning, and the final full comparison at
     each completed leaf keeps the result exact either way.
+
+    Twin rule: a frame branches on one vertex per twin class of its pool
+    (`twin_roots`).  Two unplaced twins have the same bits against the
+    prefix, and swapping them is an automorphism that fixes the prefix and
+    the cells, so their subtrees hold the same codes.  Without it a bunch of
+    k pendants on one support costs k! leaves, since refinement never
+    separates them.
     """
     if n == 1:
         return bytes([1])
@@ -60,6 +70,7 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     total_bits = n * (n - 1) // 2
     best: list[int] | None = None
     cur = [0] * total_bits
+    root = twin_roots(masks)
 
     def rec(pos: int, offset: int, tight: bool) -> None:
         nonlocal best
@@ -69,8 +80,12 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
             return
         ci = cell_of_pos[pos]
         pool = pools[ci]
+        reps: dict[int, int] = {}
+        for v in pool:
+            reps.setdefault(root[v], v)
         ranked = sorted(
-            ([(masks[v] >> placed[i]) & 1 for i in range(pos)], v) for v in pool
+            ([(masks[v] >> placed[i]) & 1 for i in range(pos)], v)
+            for v in reps.values()
         )
         for bits, v in ranked:
             new_tight = tight

@@ -33,6 +33,10 @@ class SolverBoundError(ValueError):
     """Instance beyond the documented desk-scale bound; never a wrong answer."""
 
 
+class WitnessError(RuntimeError):
+    """A labeling the search produced failed verification: a solver bug."""
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str  # "witness" | "exhausted"
@@ -76,6 +80,14 @@ def _core_split(g: Graph):
     return core, pend_count, neigh
 
 
+def _certify(g: Graph, lab: Labeling) -> MagicCertificate:
+    # an explicit raise, not an assert, so the check survives python -O
+    cert = verify_magic(g, lab)
+    if cert is None:
+        raise WitnessError("solver witness failed verification")
+    return cert
+
+
 def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveOutcome:
     """Complete existence search over all candidate magic constants."""
     if g.n > max_n:
@@ -104,8 +116,7 @@ def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveO
             nodes += nd
             if labels is not None:
                 lab = Labeling(spec, tuple(spec.element_at(i) for i in labels))
-                cert = verify_magic(g, lab)
-                assert cert is not None, "solver witness failed verification"
+                cert = _certify(g, lab)
                 return SolveOutcome("witness", lab, cert, nodes, time.perf_counter() - t0)
         return SolveOutcome("exhausted", None, None, nodes, time.perf_counter() - t0)
 
@@ -142,8 +153,7 @@ def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveO
             for w, x in zip(sorted(pendants), parts):
                 values[w] = x
         lab = Labeling(spec, tuple(values))
-        cert = verify_magic(g, lab)
-        assert cert is not None, "solver witness failed verification"
+        cert = _certify(g, lab)
         return SolveOutcome("witness", lab, cert, nodes, time.perf_counter() - t0)
     return SolveOutcome("exhausted", None, None, nodes, time.perf_counter() - t0)
 

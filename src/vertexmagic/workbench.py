@@ -177,7 +177,7 @@ def load_records(path) -> list[VerdictRecord]:
 
 # --- family audit ------------------------------------------------------------
 
-# cycles the per-diameter statements омit are expected and documented
+# cycles the per-diameter statements omit are expected and documented
 _EXPECTED_CYCLES = {
     (1, 3): (6, 7),
     (1, 4): (8, 9),

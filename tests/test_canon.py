@@ -1,10 +1,14 @@
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vertexmagic.canon import canonical_code, refinement_cells
+from vertexmagic.families import enumerate_connected
 from vertexmagic.graphs import Graph, GraphError
+from vertexmagic.kernels import pyk
 
 
 def cycle(k):
@@ -78,3 +82,99 @@ def test_refinement_cells_partition():
     cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
     assert cell_of[3] == cell_of[4]
     assert cell_of[3] != cell_of[1]
+
+
+# --- reference canonical form ---------------------------------------------
+
+
+def _code_of(g, order):
+    """The encoding of one vertex ordering: position j's adjacency bits
+    against positions 0..j-1, packed MSB first after the vertex count."""
+    bits = [
+        int(order[i] in g.adj[order[j]])
+        for j in range(g.n)
+        for i in range(j)
+    ]
+    bits += [0] * (-len(bits) % 8)
+    return bytes([g.n]) + bytes(
+        int("".join(map(str, bits[k:k + 8])), 2) for k in range(0, len(bits), 8)
+    )
+
+
+def _brute_force_code(g):
+    """Minimum encoding over every ordering that fills the cells in order."""
+    cells = refinement_cells(g)
+    return min(
+        _code_of(g, [v for block in blocks for v in block])
+        for blocks in itertools.product(
+            *(itertools.permutations(cell) for cell in cells)
+        )
+    )
+
+
+def test_matches_brute_force_on_enumerated_graphs():
+    graphs = [
+        g
+        for rank in (1, 2)
+        for diam in range(1, 6)
+        for g in enumerate_connected(7, rank, diam)
+    ]
+    assert len(graphs) > 100
+    for g in graphs:
+        assert canonical_code(g) == _brute_force_code(g)
+
+
+def test_matches_brute_force_on_random_graphs():
+    rng = random.Random(7)
+    graphs = [Graph.from_edges(1, [])]
+    graphs += [_random_connected(rng, rng.randint(2, 7)) for _ in range(80)]
+    # complete and complete-split graphs: all vertices true or false twins
+    for n in range(2, 8):
+        graphs.append(Graph.from_edges(n, itertools.combinations(range(n), 2)))
+        graphs.append(Graph.from_edges(
+            n, [(0, v) for v in range(1, n)] + [(1, v) for v in range(2, n)]
+        ))
+    for g in graphs:
+        assert canonical_code(g) == _brute_force_code(g)
+
+
+@lru_cache(maxsize=None)
+def _audit_graphs():
+    """The graphs `vmagic audit` enumerates with its default bounds."""
+    scopes = [(1, d, 10) for d in (1, 2, 3, 4)] + [(2, 3, 9)]
+    return tuple(g for rank, d, n in scopes for g in enumerate_connected(n, rank, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relabel_invariance_over_audit_enumeration(data):
+    g = data.draw(st.sampled_from(_audit_graphs()))
+    perm = data.draw(st.permutations(range(g.n)))
+    assert canonical_code(g.relabeled(perm)) == canonical_code(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(12, [(0, v) for v in range(1, 12)]),  # star K1,11
+        # triangle 0-1-2 with a bunch of 9 pendants on vertex 0
+        Graph.from_edges(
+            12, [(0, 1), (1, 2), (2, 0)] + [(0, v) for v in range(3, 12)]
+        ),
+    ],
+    ids=["star-K1,11", "triangle-9-pendants"],
+)
+def test_twin_heavy_n12(g):
+    # every cell is one twin class, so every cell-respecting ordering is an
+    # automorphism image of the refinement order and has the same encoding;
+    # an unpruned search visits all 11! (resp. 9! * 2) of them, which is
+    # why this calls the pure kernel, the one that prunes twins
+    def code(h):
+        return pyk.min_code(h.n, h.masks, refinement_cells(h))
+
+    cells = refinement_cells(g)
+    assert code(g) == _code_of(g, [v for cell in cells for v in cell])
+    rng = random.Random(g.m)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert code(g.relabeled(perm)) == code(g)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from vertexmagic.canon import canonical_code
@@ -6,7 +8,9 @@ from vertexmagic.families import (
     FamilyInstance,
     _DEFS,
     _VARIANT_DEFS,
+    _bicyclic_bases,
     atlas_entries,
+    atlas_markdown,
     base_graph,
     build,
     canonical_instance,
@@ -14,7 +18,7 @@ from vertexmagic.families import (
     parse_instance,
     recognize,
 )
-from vertexmagic.graphs import classify_vertices, cycle_rank, diameter
+from vertexmagic.graphs import Graph, classify_vertices, cycle_rank, diameter
 
 
 def test_build_ud3_g1_example():
@@ -154,6 +158,48 @@ def test_enumerate_matches_diameter():
     for g in enumerate_connected(8, 2, 3):
         assert diameter(g) == 3
         assert cycle_rank(g) == 2
+
+
+def _naive_enumeration(n_max, rank, diam):
+    """Pendant growth with no shortcuts: a pendant at every vertex of every
+    kept graph, a full diameter of every child, dedup by canonical code."""
+    if rank == 1:
+        seeds = [Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+                 for k in range(3, n_max + 1)]
+    else:
+        seeds = _bicyclic_bases(n_max)
+    by_size = {}
+    for s in seeds:
+        if diameter(s) <= diam:
+            by_size.setdefault(s.n, {})[canonical_code(s)] = s
+    results = {}
+    for n in range(min(by_size, default=n_max + 1), n_max + 1):
+        for code, g in sorted(by_size.get(n, {}).items()):
+            if diameter(g) == diam:
+                results[code] = g
+            if n == n_max:
+                continue
+            for v in range(g.n):
+                child = Graph.from_edges(g.n + 1, list(g.edges) + [(v, g.n)])
+                if diameter(child) <= diam:
+                    by_size.setdefault(n + 1, {}).setdefault(
+                        canonical_code(child), child
+                    )
+    return [results[c] for c in sorted(results)]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_enumerate_matches_naive_growth(rank):
+    for diam in range(1, 8):
+        got = enumerate_connected(8, rank, diam)
+        want = _naive_enumeration(8, rank, diam)
+        # the same representatives, not just the same classes
+        assert [g.edges for g in got] == [g.edges for g in want]
+
+
+def test_atlas_doc_is_generated():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "atlas.md"
+    assert doc.read_text(encoding="utf-8") == atlas_markdown()
 
 
 def test_gensun_proper():

@@ -7,8 +7,10 @@ from vertexmagic.families import build, enumerate_connected, parse_instance
 from vertexmagic.graphs import Graph
 from vertexmagic.labeling import verify_magic
 from vertexmagic.oracle import OracleBoundError, naive_count, naive_exists
+from vertexmagic import solver
 from vertexmagic.solver import (
     SolverBoundError,
+    WitnessError,
     count_magic,
     exists_magic,
     is_group_vertex_magic_empirical,
@@ -92,6 +94,21 @@ def test_size_bounds():
     with pytest.raises(OracleBoundError):
         naive_count(Graph.from_edges(13, [(i, i + 1) for i in range(12)]),
                     parse_group("Z8"))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(2, [(0, 1)]),  # tiny: full search, no aggregation
+        build(parse_instance("G2(1,0)"))[0],  # pendant bunches aggregated
+    ],
+    ids=["K2", "G2(1,0)"],
+)
+def test_unverified_witness_raises(monkeypatch, g):
+    assert exists_magic(g, Z4).is_witness
+    monkeypatch.setattr(solver, "verify_magic", lambda g, lab: None)
+    with pytest.raises(WitnessError, match="failed verification"):
+        exists_magic(g, Z4)
 
 
 def test_pruned_agrees_with_naive_small():
