@@ -10,6 +10,7 @@ is reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -26,6 +27,10 @@ class MismatchedGroups(GroupError):
 
 class InfeasibleDecomposition(GroupError):
     """A nonzero-summand decomposition does not exist (Z2 corner cases)."""
+
+
+class SelfCheckError(RuntimeError):
+    """A group computation failed its own output check: a bug, not bad input."""
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -307,7 +312,9 @@ def decompose_sum(spec: GroupSpec, target: GroupElement, n: int) -> tuple[GroupE
             g1 = nonzero[0]
         parts.append(g1)
         remaining = remaining - g1
-    assert all(not g.is_zero() for g in parts)
+    # an explicit raise, not an assert, so the check survives python -O
+    if any(g.is_zero() for g in parts):
+        raise SelfCheckError(f"decompose_sum produced a zero summand: {parts}")
     return tuple(parts)
 
 
@@ -350,26 +357,39 @@ def enumerate_abelian_groups(max_order: int) -> GroupCatalog:
     return GroupCatalog(max_order, tuple(groups))
 
 
+def _strides(spec: GroupSpec) -> list[int]:
+    """Index of each basis element e_i (the last factor varies fastest)."""
+    out = [1] * spec.rank
+    for i in range(spec.rank - 2, -1, -1):
+        out[i] = out[i + 1] * spec.factors[i + 1]
+    return out
+
+
+def _extend(spec: GroupSpec, images) -> list[int]:
+    """Index map a -> sum_i r_i * images[i] for a = (r_1, ..., r_k), where
+    images[i] is the index of the image of e_i."""
+    m, add, _ = cayley_tables(spec)
+    phi = [0] * m
+    block = 1
+    for f, im in zip(reversed(spec.factors), reversed(images)):
+        for idx in range(block, f * block):
+            phi[idx] = add[phi[idx - block] * m + im]
+        block *= f
+    return phi
+
+
 def automorphisms(spec: GroupSpec) -> list[dict[GroupElement, GroupElement]]:
     """All group automorphisms, as element maps.  Intended for |A| <= ~16."""
     elems = spec.elements()
-    gens = []
-    for i in range(spec.rank):
-        res = [0] * spec.rank
-        res[i] = 1
-        gens.append(spec.element(tuple(res)))
     out = []
     # generator images must preserve order; bijectivity then certifies a hom
-    candidates = [[a for a in elems if a.order() == g.order()] for g in gens]
+    candidates = [
+        [i for i, a in enumerate(elems) if a.order() == f] for f in spec.factors
+    ]
     for images in product(*candidates):
-        phi: dict[GroupElement, GroupElement] = {}
-        for a in elems:
-            image = spec.zero()
-            for r, im in zip(a.residues, images):
-                image = image + r * im
-            phi[a] = image
-        if len(set(phi.values())) == len(elems):
-            out.append(phi)
+        phi = _extend(spec, images)
+        if len(set(phi)) == len(elems):
+            out.append({a: elems[phi[i]] for i, a in enumerate(elems)})
     return out
 
 
@@ -426,3 +446,66 @@ def cayley_tables(spec: GroupSpec) -> tuple[int, tuple[int, ...], tuple[int, ...
             add_flat[i * m + j] = index[a + b]
     neg_tab = [index[-a] for a in elems]
     return m, tuple(add_flat), tuple(neg_tab)
+
+
+def _generator_images(spec: GroupSpec):
+    """Basis images (as indices) of the unit scalings and the elementary
+    transvections.
+
+    Unit scalings send e_i to u*e_i with gcd(u, d_i) = 1; transvections send
+    e_j to e_j + c*e_i with c = d_i / gcd(d_i, d_j), the least c for which
+    c*e_i has an order dividing d_j.  Identity maps are left out.
+    """
+    f = spec.factors
+    basis = _strides(spec)
+    for i, d in enumerate(f):
+        for u in range(2, d):
+            if gcd(u, d) == 1:
+                yield basis[:i] + [u * basis[i]] + basis[i + 1:]
+    for i, di in enumerate(f):
+        for j, dj in enumerate(f):
+            c = di // gcd(di, dj)
+            if i != j and c < di:
+                yield basis[:j] + [basis[j] + c * basis[i]] + basis[j + 1:]
+
+
+@lru_cache(maxsize=None)
+def mu_orbits(spec: GroupSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbits of Aut(A) on element indices, as (rep, size).
+
+    rep[i] is the least index in the orbit of element i and size[i] the
+    orbit's length.  The orbits are the connected components of the unit
+    scalings and elementary transvections (`_generator_images`), joined by
+    union-find with the least index as root.  Each generator is checked to
+    be a bijective homomorphism on the Cayley table before it is used, so
+    every orbit is a union of genuine automorphism images: the orbits may
+    be finer than the true Aut(A)-orbits, never coarser.
+    """
+    m, add, _ = cayley_tables(spec)
+    basis = _strides(spec)
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for images in _generator_images(spec):
+        phi = _extend(spec, images)
+        # additive on every e_i (hence a homomorphism) and bijective; an
+        # explicit raise, not an assert, so the check survives python -O
+        if len(set(phi)) != m or any(
+            phi[add[a * m + b]] != add[phi[a] * m + phi[b]]
+            for b in basis for a in range(m)
+        ):
+            raise SelfCheckError(
+                f"basis images {images} are not an automorphism of {spec}"
+            )
+        for a in range(m):
+            ra, rb = find(a), find(phi[a])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    rep = tuple(find(a) for a in range(m))
+    size = Counter(rep)
+    return rep, tuple(size[r] for r in rep)

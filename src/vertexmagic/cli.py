@@ -1,7 +1,9 @@
 """Command-line workbench.
 
 Exit codes: 0 on success, 1 when `crosscheck --strict` finds a nonempty
-discrepancy ledger, 2 on usage errors.
+discrepancy ledger, 2 on usage errors and on instances beyond a documented
+solver or oracle bound.  A ContractError still escapes as a traceback: it
+signals a bug in a construction recipe, not a bound.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .families import (
 )
 from .graphs import GraphError, classify_vertices, read_graph_file, to_dot
 from .labeling import InvalidLabelingError, parse_labeling, verify_magic
-from .solver import count_magic, exists_magic
+from .oracle import OracleBoundError
+from .solver import SolverBoundError, count_magic, exists_magic
 from .workbench import (
     audit_families,
     crosscheck,
@@ -263,7 +266,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (_UsageError, GroupError, GraphError, FamilyError,
-            InvalidLabelingError) as exc:
+            InvalidLabelingError, SolverBoundError, OracleBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

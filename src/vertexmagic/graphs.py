@@ -128,6 +128,11 @@ def twin_roots(masks: tuple[int, ...]) -> list[int]:
     ]
 
 
+def support_vertices(g: Graph) -> list[int]:
+    """Neighbours of degree-1 vertices, ascending; needs no diameter."""
+    return sorted({g.adj[v][0] for v in range(g.n) if g.degree(v) == 1})
+
+
 def cycle_rank(g: Graph) -> int:
     return g.m - g.n + 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import GroupElement, GroupSpec, parse_element
-from .graphs import Graph, GraphError, classify_vertices
+from .graphs import Graph, GraphError, support_vertices
 
 
 class InvalidLabelingError(ValueError):
@@ -73,8 +73,7 @@ def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
 
 def check_support_forcing(g: Graph, cert: MagicCertificate, lab: Labeling) -> bool:
     """Every support vertex must carry the magic constant; exposed self-check."""
-    supports = classify_vertices(g).supports
-    return all(lab.values[v] == cert.constant for v in supports)
+    return all(lab.values[v] == cert.constant for v in support_vertices(g))
 
 
 def _split_top_level(text: str) -> list[str]:

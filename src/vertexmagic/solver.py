@@ -5,8 +5,16 @@ given finite abelian group.  A Witness outcome carries a verified labeling;
 an Exhausted outcome means the whole space (A∖{0})^V was covered for every
 candidate constant, so it is a proof for that group.
 
+Candidate constants are searched one per Aut(A)-orbit: an automorphism phi
+of A maps every magic labeling with constant mu to one with constant
+phi(mu), so every mu in an orbit has the same answer (and the same number
+of labelings).  Only the least mu of each orbit is searched, in index order
+(`abelian.mu_orbits`).  The first witness is unchanged by this: it sits at
+the first mu that has any labeling, which is the least of its orbit.  An
+exhausted search's `nodes` counts the representatives' slices only.
+
 The search mechanizes the proof moves used throughout the characterizations:
-for each candidate constant mu it forces every support vertex's label to mu,
+for each searched constant mu it forces every support vertex's label to mu,
 propagates "last unlabeled neighbor" forcings (rejecting zero), prunes any
 completed neighborhood whose weight misses mu, and aggregates each support's
 pendant bunch into a sum-feasibility constraint (nonzero decompositions
@@ -20,8 +28,8 @@ import time
 from dataclasses import dataclass
 
 from . import kernels
-from .abelian import GroupCatalog, GroupSpec, cayley_tables, decompose_sum
-from .graphs import Graph, classify_vertices, degrees_same_parity
+from .abelian import GroupCatalog, GroupSpec, cayley_tables, decompose_sum, mu_orbits
+from .graphs import Graph, degrees_same_parity, support_vertices
 from .labeling import Labeling, MagicCertificate, verify_magic
 
 EXISTS_MAX_N = 13
@@ -88,30 +96,35 @@ def _certify(g: Graph, lab: Labeling) -> MagicCertificate:
     return cert
 
 
+def _constants(spec: GroupSpec, has_supports: bool) -> list[int]:
+    """The least mu of each Aut(A)-orbit, ascending.  mu = 0 is left out
+    when the graph has a support vertex, whose label is mu and is the weight
+    of its pendant."""
+    rep, _ = mu_orbits(spec)
+    return [
+        mu for mu, r in enumerate(rep)
+        if r == mu and not (has_supports and mu == 0)
+    ]
+
+
 def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveOutcome:
-    """Complete existence search over all candidate magic constants."""
+    """Complete existence search, one candidate constant per Aut(A)-orbit."""
     if g.n > max_n:
         raise SolverBoundError(f"n = {g.n} exceeds the solver bound {max_n}")
     t0 = time.perf_counter()
     m, add, neg = cayley_tables(spec)
-    profile = classify_vertices(g)
-    supports = sorted(profile.supports)
     nodes = 0
 
     split = _core_split(g)
     if split is None:
         # tiny/degenerate graphs: full DFS over all vertices, no aggregation
-        neigh = g.adj
-        forced_base = [-1] * g.n
-        for mu in range(m):
-            forced = list(forced_base)
-            if supports:
-                if mu == 0:
-                    continue
-                for s in supports:
-                    forced[s] = mu
+        supports = support_vertices(g)
+        for mu in _constants(spec, bool(supports)):
+            forced = [-1] * g.n
+            for s in supports:
+                forced[s] = mu
             labels, nd = kernels.search_exists(
-                g.n, neigh, [0] * g.n, forced, m, add, neg, mu
+                g.n, g.adj, [0] * g.n, forced, m, add, neg, mu
             )
             nodes += nd
             if labels is not None:
@@ -121,13 +134,9 @@ def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveO
         return SolveOutcome("exhausted", None, None, nodes, time.perf_counter() - t0)
 
     core, pend_count, neigh = split
-    core_index = {v: i for i, v in enumerate(core)}
-    for mu in range(m):
-        if supports and mu == 0:
-            continue
-        forced = [-1] * len(core)
-        for s in supports:
-            forced[core_index[s]] = mu
+    # the supports are exactly the core vertices that carry pendants
+    for mu in _constants(spec, any(pend_count)):
+        forced = [mu if c else -1 for c in pend_count]
         core_labels, nd = kernels.search_exists(
             len(core), neigh, pend_count, forced, m, add, neg, mu
         )
@@ -164,7 +173,11 @@ def count_magic(
     max_n: int = COUNT_MAX_N,
     max_order: int = COUNT_MAX_ORDER,
 ) -> int:
-    """Exact number of magic labelings (tighter bounds than exists_magic)."""
+    """Exact number of magic labelings (tighter bounds than exists_magic).
+
+    Counts at one constant per Aut(A)-orbit and weights it by the orbit's
+    size.
+    """
     if g.n > max_n:
         raise SolverBoundError(f"n = {g.n} exceeds the counting bound {max_n}")
     if spec.order > max_order:
@@ -172,16 +185,15 @@ def count_magic(
             f"|A| = {spec.order} exceeds the counting bound {max_order}"
         )
     m, add, neg = cayley_tables(spec)
-    supports = sorted(classify_vertices(g).supports)
+    _, size = mu_orbits(spec)
+    supports = support_vertices(g)
     total = 0
-    for mu in range(m):
-        if supports and mu == 0:
-            continue
+    for mu in _constants(spec, bool(supports)):
         forced = [-1] * g.n
         for s in supports:
             forced[s] = mu
         cnt, _ = kernels.search_count(g.n, g.adj, forced, m, add, neg, mu)
-        total += cnt
+        total += cnt * size[mu]
     return total
 
 

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from vertexmagic import abelian
 from vertexmagic.abelian import (
     GroupError,
     GroupSpec,
     InfeasibleDecomposition,
     MismatchedGroups,
+    SelfCheckError,
     automorphisms,
     cauchy_element,
     cayley_tables,
@@ -13,6 +15,7 @@ from vertexmagic.abelian import (
     enumerate_abelian_groups,
     exponent,
     involutions,
+    mu_orbits,
     parse_group,
     squares,
 )
@@ -124,6 +127,14 @@ def test_decompose_z2_corners():
 def test_decompose_rejects_zero_singleton():
     with pytest.raises(GroupError):
         decompose_sum(Z4, Z4.zero(), 1)
+
+
+def test_decompose_self_check_raises(monkeypatch):
+    # a "nonzero" list that starts with zero makes the greedy emit a zero
+    # summand; the explicit check must catch it (and survive python -O)
+    monkeypatch.setattr(GroupSpec, "nonzero_elements", GroupSpec.elements)
+    with pytest.raises(SelfCheckError, match="zero summand"):
+        decompose_sum(Z4, Z4.element(1), 3)
 
 
 @given(specs_small, st.integers(min_value=0, max_value=63),
@@ -247,3 +258,39 @@ def test_automorphism_counts():
         for a in V4.elements():
             for b in V4.elements():
                 assert phi[a + b] == phi[a] + phi[b]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(enumerate_abelian_groups(16))
+    # non-canonical presentations, whose transvections run both ways
+    + [GroupSpec(f) for f in ((2, 3), (4, 2), (6, 2), (3, 3, 2))],
+    ids=str,
+)
+def test_mu_orbits_match_brute_force(spec):
+    elems = spec.elements()
+    index = {a: i for i, a in enumerate(elems)}
+    auts = automorphisms(spec)
+    orbits = [sorted({index[phi[a]] for phi in auts}) for a in elems]
+    rep, size = mu_orbits(spec)
+    assert rep == tuple(orbit[0] for orbit in orbits)
+    assert size == tuple(len(orbit) for orbit in orbits)
+
+
+def test_mu_orbits_up_to_32():
+    for spec in enumerate_abelian_groups(32):
+        rep, size = mu_orbits(spec)
+        elems = spec.elements()
+        assert len(rep) == spec.order and rep[0] == 0
+        for i, r in enumerate(rep):
+            assert r <= i and rep[r] == r
+            assert elems[i].order() == elems[r].order()
+        assert sum(size[r] for r in set(rep)) == spec.order
+        assert all(size[i] == rep.count(rep[i]) for i in range(spec.order))
+
+
+def test_mu_orbits_rejects_a_non_automorphism(monkeypatch):
+    # every basis element sent to zero: a homomorphism, but not bijective
+    monkeypatch.setattr(abelian, "_generator_images", lambda spec: [[0] * spec.rank])
+    with pytest.raises(SelfCheckError, match="not an automorphism"):
+        mu_orbits.__wrapped__(V4)

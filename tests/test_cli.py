@@ -78,3 +78,19 @@ def test_audit_cli(capsys):
 def test_backend_cli(capsys):
     assert main(["backend"]) == 0
     assert "kernel backend" in capsys.readouterr().out
+
+
+def test_count_beyond_bound_exits_cleanly(capsys):
+    assert main(["solve", "C4", "--group", "Z7", "--count"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "counting bound" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_solve_beyond_bound_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "p14.txt"
+    path.write_text("14\n" + "".join(f"{i} {i + 1}\n" for i in range(13)))
+    assert main(["solve", str(path), "--group", "Z3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "solver bound" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

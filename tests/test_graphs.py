@@ -10,6 +10,7 @@ from vertexmagic.graphs import (
     is_generalized_sun,
     lemma0_obstruction,
     read_graph_file,
+    support_vertices,
     to_dot,
     two_core,
 )
@@ -151,6 +152,13 @@ def test_classify_matches_definitions_on_random_graphs():
             assert (v in prof.weak_supports) == (nb_pendants == 1)
             assert (v in prof.strong_supports) == (nb_pendants >= 2)
         assert prof.cycle_rank == g.m - g.n + 1
+        assert support_vertices(g) == sorted(prof.supports)
+
+
+def test_support_vertices_tiny():
+    assert support_vertices(Graph.from_edges(1, [])) == []
+    assert support_vertices(Graph.from_edges(2, [(0, 1)])) == [0, 1]
+    assert support_vertices(cycle(5)) == []
 
 
 def test_graph_file_roundtrip():

@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from vertexmagic.abelian import enumerate_abelian_groups, parse_group
-from vertexmagic.families import build, enumerate_connected, parse_instance
-from vertexmagic.graphs import Graph
+from vertexmagic import kernels
+from vertexmagic.abelian import (
+    cayley_tables,
+    decompose_sum,
+    enumerate_abelian_groups,
+    parse_group,
+)
+from vertexmagic.families import build, enumerate_connected, parse_instance, recognize
+from vertexmagic.graphs import Graph, classify_vertices
 from vertexmagic.labeling import verify_magic
 from vertexmagic.oracle import OracleBoundError, naive_count, naive_exists
 from vertexmagic import solver
@@ -16,6 +23,7 @@ from vertexmagic.solver import (
     is_group_vertex_magic_empirical,
     z2_magic,
 )
+from vertexmagic.workbench import standard_catalog, standard_grid
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -179,3 +187,98 @@ def test_deterministic_witness():
     b = exists_magic(g, Z4)
     assert a.labeling == b.labeling
     assert a.nodes == b.nodes
+
+
+def _reference_exists(g, spec):
+    """The search without orbit pruning: every mu in index order.
+
+    Returns (labels or None, mu index or None, nodes).  Pendant bunches are
+    materialized as the solver does, with the lex-least decomposition in
+    ascending pendant order.
+    """
+    m, add, neg = cayley_tables(spec)
+    supports = sorted(classify_vertices(g).supports)
+    split = solver._core_split(g)
+    nodes = 0
+    for mu in range(m):
+        if supports and mu == 0:
+            continue
+        if split is None:
+            forced = [mu if v in supports else -1 for v in range(g.n)]
+            labels, nd = kernels.search_exists(
+                g.n, g.adj, [0] * g.n, forced, m, add, neg, mu
+            )
+            nodes += nd
+            if labels is not None:
+                return tuple(spec.element_at(x) for x in labels), mu, nodes
+            continue
+        core, pend_count, neigh = split
+        forced = [mu if v in supports else -1 for v in core]
+        labels, nd = kernels.search_exists(
+            len(core), neigh, pend_count, forced, m, add, neg, mu
+        )
+        nodes += nd
+        if labels is None:
+            continue
+        values = [None] * g.n
+        for v, x in zip(core, labels):
+            values[v] = spec.element_at(x)
+        for v in supports:
+            pendants = sorted(w for w in g.adj[v] if g.degree(w) == 1)
+            partial = spec.zero()
+            for w in g.adj[v]:
+                if g.degree(w) > 1:
+                    partial = partial + values[w]
+            parts = decompose_sum(spec, spec.element_at(mu) - partial, len(pendants))
+            for w, x in zip(pendants, parts):
+                values[w] = x
+        return tuple(values), mu, nodes
+    return None, None, nodes
+
+
+def test_orbit_pruning_keeps_every_witness(grid):
+    """Same status, witness and mu as the unpruned loop; never more nodes."""
+    catalog = standard_catalog(16)
+    saved = 0
+    for inst in grid:
+        g, _ = build(inst)
+        if g.n > 9:
+            continue
+        for spec in catalog:
+            out = exists_magic(g, spec)
+            labels, mu, ref_nodes = _reference_exists(g, spec)
+            assert out.is_witness == (labels is not None), (inst, spec)
+            if labels is not None:
+                assert out.labeling.values == labels, (inst, spec)
+                assert spec.index_of(out.certificate.constant) == mu
+            assert out.nodes <= ref_nodes
+            saved += ref_nodes - out.nodes
+    assert saved > 0
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_graphs())
+def test_pruned_agrees_with_naive_off_atlas(g):
+    assume(recognize(g) is None)
+    for spec in enumerate_abelian_groups(5):
+        assert count_magic(g, spec) == naive_count(g, spec)
+        assert exists_magic(g, spec).is_witness == naive_exists(g, spec)
+
+
+def test_two_group_orbit_pruning():
+    # GL(4,2) is transitive on the 15 nonzero constants, so one slice is
+    # searched where the unpruned loop searched 15 (10,170 nodes)
+    g, _ = build(parse_instance("M7(0,0)"))
+    out = exists_magic(g, parse_group("Z2+Z2+Z2+Z2"))
+    assert not out.is_witness
+    assert out.nodes < 10_170
