@@ -3,7 +3,7 @@
 Identical codes exactly when graphs are isomorphic.  The code is the minimum
 column-major upper-triangle adjacency encoding over all vertex orderings
 compatible with an isomorphism-invariant ordered partition (iterated degree
-refinement), found by branch-and-bound in the kernel backend.  Intended for
+refinement), found by branch-and-bound in `kernels.min_code`.  Intended for
 n <= 12: correctness over asymptotics at desk scale.
 """
 

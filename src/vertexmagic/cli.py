@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 
-from . import kernels
 from .abelian import (
     GroupError,
     enumerate_abelian_groups,
@@ -191,12 +190,6 @@ def _cmd_audit(args) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_backend(_args) -> int:
-    print(f"kernel backend: {kernels.BACKEND}")
-    print(f"available: {', '.join(sorted(kernels.available_backends()))}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vmagic",
@@ -254,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--nmax", type=int, default=10)
     a.add_argument("--out", metavar="FILE")
     a.set_defaults(fn=_cmd_audit)
-
-    b = sub.add_parser("backend", help="show the active kernel backend")
-    b.set_defaults(fn=_cmd_backend)
     return ap
 
 

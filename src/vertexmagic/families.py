@@ -986,8 +986,13 @@ def _bicyclic_bases(n_max: int) -> list[Graph]:
 
 
 def enumerate_connected(n_max: int, rank: int, diam: int) -> list[Graph]:
+    """The representatives of `enumerate_classes`, in code order."""
+    return list(enumerate_classes(n_max, rank, diam).values())
+
+
+def enumerate_classes(n_max: int, rank: int, diam: int) -> dict[bytes, Graph]:
     """One representative per isomorphism class with the given cycle rank and
-    diameter, n <= n_max.
+    diameter, n <= n_max, keyed by canonical code in code order.
 
     Growth by pendant attachment from the minimum-degree-2 seeds of that
     rank; pendant attachment never shrinks the diameter, so branches past the
@@ -1033,7 +1038,7 @@ def enumerate_connected(n_max: int, rank: int, diam: int) -> list[Graph]:
                 by_size.setdefault(n + 1, {}).setdefault(
                     canonical_code(child), child
                 )
-    return [results[c] for c in sorted(results)]
+    return {c: results[c] for c in sorted(results)}
 
 
 # --- recognition -------------------------------------------------------------
@@ -1108,4 +1113,9 @@ def recognize(g: Graph) -> FamilyInstance | None:
     """The atlas instance isomorphic to g, preferring drawn families."""
     if g.n > 12:
         return None
-    return _atlas_index(g.n).get(canonical_code(g))
+    return recognize_code(g.n, canonical_code(g))
+
+
+def recognize_code(n: int, code: bytes) -> FamilyInstance | None:
+    """`recognize` for the graph on n <= 12 vertices with canonical code `code`."""
+    return _atlas_index(n).get(code)

@@ -1,23 +1,19 @@
-"""Pure-Python hot kernels.
-
-These are the fallback twins of the Cython module `_ck.pyx`; both expose the
-same three entry points with identical semantics and identical deterministic
-results (including search-node counts).  Only this `min_code` prunes twins,
-which changes its work, never its codes:
+"""Hot kernels: the canonical-form search and the magic-labeling DFS.
 
   min_code(n, masks, cells)            canonical-form search
   search_exists(...)                   one mu-slice of the magic-labeling DFS
   search_count(...)                    exact solution count for one mu-slice
 
-Labels are element indices into a group's lexicographic element order:
-index 0 is the zero element, `add` is the flat m*m addition table and `neg`
-the negation table.
+Search-node counts are deterministic.  Labels are element indices into a
+group's lexicographic element order: index 0 is the zero element, `add` is
+the flat m*m addition table and `neg` the negation table.
 """
 
 from __future__ import annotations
 
-from ..graphs import twin_roots
+from .graphs import twin_roots
 
+# the kernel implementation named in benchmark run reports
 BACKEND = "python"
 
 

@@ -22,9 +22,9 @@ from .families import (
     _DEFS,
     build,
     canonical_instance,
-    enumerate_connected,
+    enumerate_classes,
     parse_instance,
-    recognize,
+    recognize_code,
 )
 from .graphs import Graph, GraphError
 from .labeling import parse_labeling, verify_magic
@@ -243,8 +243,8 @@ def audit_families(nmax_uni: int = 10, nmax_bi: int = 9) -> AuditReport:
     scopes = [(1, d, nmax_uni) for d in (1, 2, 3, 4)] + [(2, 3, nmax_bi)]
     report = AuditReport(scopes=scopes)
     for rank, diam, n_max in scopes:
-        for g in enumerate_connected(n_max, rank, diam):
-            inst = recognize(g)
+        for code, g in enumerate_classes(n_max, rank, diam).items():
+            inst = recognize_code(g.n, code)
             if inst is None:
                 report.unrecognized.append(
                     f"rank {rank} diam {diam} n={g.n} edges={list(g.edges)}"

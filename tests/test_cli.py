@@ -75,11 +75,6 @@ def test_audit_cli(capsys):
     assert "unrecognized: none" in capsys.readouterr().out
 
 
-def test_backend_cli(capsys):
-    assert main(["backend"]) == 0
-    assert "kernel backend" in capsys.readouterr().out
-
-
 def test_count_beyond_bound_exits_cleanly(capsys):
     assert main(["solve", "C4", "--group", "Z7", "--count"]) == 2
     err = capsys.readouterr().err

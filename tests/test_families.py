@@ -14,9 +14,11 @@ from vertexmagic.families import (
     base_graph,
     build,
     canonical_instance,
+    enumerate_classes,
     enumerate_connected,
     parse_instance,
     recognize,
+    recognize_code,
 )
 from vertexmagic.graphs import Graph, classify_vertices, cycle_rank, diameter
 
@@ -152,6 +154,11 @@ def test_enumerate_is_deduplicated():
     gs = enumerate_connected(8, 1, 3)
     codes = [canonical_code(g) for g in gs]
     assert len(codes) == len(set(codes))
+    by_code = enumerate_classes(8, 1, 3)
+    assert list(by_code) == codes
+    assert list(by_code.values()) == gs
+    for code, g in by_code.items():
+        assert recognize_code(g.n, code) == recognize(g)
 
 
 def test_enumerate_matches_diameter():

@@ -66,6 +66,19 @@ def test_witnesses_verify():
                 assert cert.constant == out.certificate.constant
 
 
+@pytest.mark.parametrize("name", ["Z33", "Z2+Z32"])
+def test_group_order_beyond_32(name):
+    # the search has no group-order limit; C4 is 2-regular, hence magic over
+    # every group, so a witness must come back
+    spec = parse_group(name)
+    out = exists_magic(cycle(4), spec)
+    assert out.is_witness
+    assert out.labeling.group == spec
+    cert = verify_magic(cycle(4), out.labeling)
+    assert cert is not None
+    assert cert.constant == out.certificate.constant
+
+
 def test_z2_shortcut_matches_search():
     for text in ("G1(1,1,1)", "G2(1,0)", "C6", "M10(0,0)", "M11(0,0)",
                  "H1(0,0;hub=[1])"):
