@@ -223,24 +223,6 @@ class GroupElement:
         return "(" + ",".join(str(r) for r in self.residues) + ")"
 
 
-# operation aliases matching the verbs used throughout the workbench
-
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
-
-
-def neg(a: GroupElement) -> GroupElement:
-    return -a
-
-
-def scalar_mul(k: int, a: GroupElement) -> GroupElement:
-    return k * a
-
-
-def element_order(a: GroupElement) -> int:
-    return a.order()
-
-
 def exponent(spec: GroupSpec) -> int:
     return spec.exponent()
 
@@ -414,10 +396,6 @@ def parse_group(text: str) -> GroupSpec:
             raise GroupError(f"cannot parse group factor {part!r} in {text!r}")
         factors.append(int(part[1:]))
     return GroupSpec(tuple(factors))
-
-
-def canonical_name(spec: GroupSpec) -> str:
-    return str(spec.canonical())
 
 
 def parse_element(spec: GroupSpec, text: str) -> GroupElement:

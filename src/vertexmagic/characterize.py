@@ -33,15 +33,15 @@ from .abelian import (
 from .families import FamilyInstance, build, recognize
 from .graphs import (
     Graph,
-    classify_vertices,
     cycle_rank,
     degrees_same_parity,
     diameter,
     is_generalized_sun,
     lemma0_obstruction,
+    pendant_bunches,
     two_core,
 )
-from .labeling import Labeling, verify_magic
+from .labeling import Labeling, fill_pendants, verify_magic
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -110,12 +110,9 @@ def predict(inst: FamilyInstance, spec: GroupSpec) -> TheoremVerdict:
         return TheoremVerdict(MAGIC, "Prop2.2")
     if fam in _SUN_FAMILIES:
         g, _ = _built(inst)
-        profile = classify_vertices(g)
-        all_support = all(
-            v in profile.supports
-            for v in range(g.n)
-            if v not in profile.pendants
-        )
+        bunches = pendant_bunches(g)
+        pendants = set().union(*bunches)
+        all_support = all(bunches[v] for v in range(g.n) if v not in pendants)
         return TheoremVerdict(MAGIC if all_support else NOT_MAGIC, "Lemma2.5")
 
     if fam == "UD3-G2":
@@ -317,24 +314,15 @@ def _finish(
 ) -> Labeling:
     """Fill pendant bunches from the core labels and verify the result."""
     g, roles = _built(inst)
-    values: dict[int, GroupElement] = {roles[r]: x for r, x in core.items()}
-    pendants = [v for v in range(g.n) if g.degree(v) == 1]
-    pendant_set = set(pendants)
+    values: list = [None] * g.n
+    for r, x in core.items():
+        values[roles[r]] = x
+    pendants = set().union(*pendant_bunches(g))
     for v in range(g.n):
-        if v in pendant_set:
-            continue
-        if v not in values:
+        if values[v] is None and v not in pendants:
             raise ContractError(f"recipe left non-pendant vertex {v} unlabeled")
-    for s in sorted({g.adj[q][0] for q in pendants}):
-        bunch = sorted(q for q in g.adj[s] if q in pendant_set)
-        partial = spec.zero()
-        for w in g.adj[s]:
-            if w not in pendant_set:
-                partial = partial + values[w]
-        parts = decompose_sum(spec, mu - partial, len(bunch))
-        for q, x in zip(bunch, parts):
-            values[q] = x
-    lab = Labeling(spec, tuple(values[v] for v in range(g.n)))
+    fill_pendants(g, spec, values, mu)
+    lab = Labeling(spec, tuple(values))
     cert = verify_magic(g, lab)
     if cert is None or cert.constant != mu:
         raise ContractError(f"recipe for {inst.render()} over {spec} failed")
@@ -630,10 +618,10 @@ def classify_group_vertex_magic(g: Graph) -> ClassifyVerdict:
     if fam == "UD4-H6":
         return ClassifyVerdict("yes", "Thm3.12(iii)")
     if fam in _SUN_FAMILIES:
-        profile = classify_vertices(g)
+        bunches = pendant_bunches(g)
         core = two_core(g)
         if is_generalized_sun(g) and all(
-            v in profile.supports and g.degree(v) % 2 == 1 for v in core
+            bunches[v] and g.degree(v) % 2 == 1 for v in core
         ):
             return ClassifyVerdict("yes", "Lemma2.5")
         return ClassifyVerdict("no", "Lemma2.5", Z3)

@@ -682,32 +682,23 @@ def _canon_params(d: _Def, params: tuple[int, ...]) -> tuple[int, ...]:
         # slots occupy a consecutive window of the cycle; placements that
         # differ by a cycle symmetry keeping all bunches inside the window
         # draw the same graph
-        k = len(d.roles)
         w = len(params)
-        full = params + (0,) * (k - w)
-        best = None
-        for flip in (1, -1):
-            seq = full[::flip]
-            for r in range(k):
-                cand = seq[r:] + seq[:r]
-                if all(c == 0 for c in cand[w:]):
-                    head = cand[:w]
-                    if best is None or head < best:
-                        best = head
-        return best
+        full = params + (0,) * (len(d.roles) - w)
+        return min(
+            cand[:w] for cand in _dihedral_images(full) if not any(cand[w:])
+        )
     return params
 
 
+def _dihedral_images(seq: tuple[int, ...]):
+    """Every rotation of seq, then every rotation of its reversal."""
+    for s in (seq, seq[::-1]):
+        for r in range(len(s)):
+            yield s[r:] + s[:r]
+
+
 def _dihedral_min(counts: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(counts)
-    best = None
-    for flip in (1, -1):
-        seq = counts[::flip]
-        for r in range(k):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(_dihedral_images(counts))
 
 
 def canonical_instance(inst: FamilyInstance) -> FamilyInstance:

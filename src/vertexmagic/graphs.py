@@ -1,6 +1,10 @@
 """Simple undirected connected graphs and the structural predicates used by
 the labeling theorems: pendant/support classification, diameter, cycle rank,
 generalized-sun detection, and the shared-neighborhood obstruction.
+
+`pendant_bunches` is the one pendant/support analysis: which vertices are
+pendants, whose they are, and which vertices are supports.  The solver, the
+pendant filler in `labeling` and the characterizations all read it.
 """
 
 from __future__ import annotations
@@ -128,9 +132,22 @@ def twin_roots(masks: tuple[int, ...]) -> list[int]:
     ]
 
 
+def pendant_bunches(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """For each vertex, its degree-1 neighbours in ascending order.
+
+    The pendants are the members of the bunches and the support vertices
+    are those with a nonempty bunch.  In K2 each end is the other's pendant.
+    """
+    bunches: list[tuple[int, ...]] = [()] * g.n
+    for p, a in enumerate(g.adj):
+        if len(a) == 1:
+            bunches[a[0]] += (p,)
+    return tuple(bunches)
+
+
 def support_vertices(g: Graph) -> list[int]:
-    """Neighbours of degree-1 vertices, ascending; needs no diameter."""
-    return sorted({g.adj[v][0] for v in range(g.n) if g.degree(v) == 1})
+    """Vertices with a pendant neighbour, ascending; needs no diameter."""
+    return [v for v, bunch in enumerate(pendant_bunches(g)) if bunch]
 
 
 def cycle_rank(g: Graph) -> int:
@@ -138,18 +155,13 @@ def cycle_rank(g: Graph) -> int:
 
 
 def classify_vertices(g: Graph) -> StructuralProfile:
-    pendants = frozenset(v for v in range(g.n) if g.degree(v) == 1)
-    pend_count = [0] * g.n
-    for p in pendants:
-        pend_count[g.adj[p][0]] += 1
-    supports = frozenset(v for v in range(g.n) if pend_count[v] >= 1)
-    weak = frozenset(v for v in supports if pend_count[v] == 1)
-    strong = frozenset(v for v in supports if pend_count[v] >= 2)
+    bunches = pendant_bunches(g)
+    size = [len(bunch) for bunch in bunches]
     return StructuralProfile(
-        pendants=pendants,
-        supports=supports,
-        weak_supports=weak,
-        strong_supports=strong,
+        pendants=frozenset().union(*bunches),
+        supports=frozenset(v for v in range(g.n) if size[v] >= 1),
+        weak_supports=frozenset(v for v in range(g.n) if size[v] == 1),
+        strong_supports=frozenset(v for v in range(g.n) if size[v] >= 2),
         degrees=g.degrees,
         diameter=diameter(g),
         cycle_rank=cycle_rank(g),
@@ -172,13 +184,6 @@ def two_core(g: Graph) -> frozenset[int]:
                 if deg[w] == 1:
                     todo.append(w)
     return frozenset(v for v in range(g.n) if alive[v])
-
-
-def cycle_vertices(g: Graph) -> frozenset[int]:
-    """The unique cycle of a unicyclic graph."""
-    if cycle_rank(g) != 1:
-        raise GraphError("cycle_vertices needs a unicyclic graph")
-    return two_core(g)
 
 
 def is_generalized_sun(g: Graph) -> bool:

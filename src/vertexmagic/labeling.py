@@ -5,14 +5,17 @@ at v is the sum of the labels over N(v).  A labeling is magic when all
 weights coincide; the common value is the magic constant.  A zero label is
 an *invalid labeling* (codomain violation), which is a different outcome
 from a valid labeling that fails to be magic.
+
+`fill_pendants` completes a partial labeling by the decomposition lemma; the
+solver and the constructive recipes both finish their witnesses with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import GroupElement, GroupSpec, parse_element
-from .graphs import Graph, GraphError, support_vertices
+from .abelian import GroupElement, GroupSpec, decompose_sum, parse_element
+from .graphs import Graph, GraphError, pendant_bunches, support_vertices
 
 
 class InvalidLabelingError(ValueError):
@@ -74,6 +77,28 @@ def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
 def check_support_forcing(g: Graph, cert: MagicCertificate, lab: Labeling) -> bool:
     """Every support vertex must carry the magic constant; exposed self-check."""
     return all(lab.values[v] == cert.constant for v in support_vertices(g))
+
+
+def fill_pendants(
+    g: Graph, spec: GroupSpec, values: list, mu: GroupElement
+) -> None:
+    """Label every unlabeled pendant so that its support's weight is mu.
+
+    `values` holds a label or None per vertex and is filled in place.  Each
+    support, in ascending order, gives its unlabeled bunch the lex-least
+    nonzero decomposition (`decompose_sum`) of mu minus the labels already
+    around it, in ascending pendant order.
+    """
+    for s, bunch in enumerate(pendant_bunches(g)):
+        todo = [p for p in bunch if values[p] is None]
+        if not todo:
+            continue
+        partial = spec.zero()
+        for w in g.adj[s]:
+            if values[w] is not None:
+                partial = partial + values[w]
+        for p, x in zip(todo, decompose_sum(spec, mu - partial, len(todo))):
+            values[p] = x
 
 
 def _split_top_level(text: str) -> list[str]:

@@ -13,13 +13,18 @@ of labelings).  Only the least mu of each orbit is searched, in index order
 the first mu that has any labeling, which is the least of its orbit.  An
 exhausted search's `nodes` counts the representatives' slices only.
 
-The search mechanizes the proof moves used throughout the characterizations:
-for each searched constant mu it forces every support vertex's label to mu,
-propagates "last unlabeled neighbor" forcings (rejecting zero), prunes any
-completed neighborhood whose weight misses mu, and aggregates each support's
-pendant bunch into a sum-feasibility constraint (nonzero decompositions
-exist exactly per the decomposition lemma), materialized afterwards.  Beyond
-the size bound it refuses rather than guess.
+The search mechanizes the proof moves used throughout the characterizations,
+on one path for every graph.  It reads the pendant bunches
+(`graphs.pendant_bunches`) once and searches the core, i.e. every vertex
+that is not a pendant, for each searched constant mu: it forces every
+support vertex's label to mu, propagates "last unlabeled neighbor" forcings
+(rejecting zero), prunes any completed neighborhood whose weight misses mu,
+and aggregates each support's pendant bunch into a sum-feasibility
+constraint (nonzero decompositions exist exactly per the decomposition
+lemma).  A witness's bunches are then filled by `labeling.fill_pendants`.
+K1 and K2 follow the same rule: for n <= 2 the core is every vertex, so the
+two ends of K2, each the other's support, are searched and not aggregated.
+Beyond the size bound it refuses rather than guess.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import time
 from dataclasses import dataclass
 
 from . import kernels
-from .abelian import GroupCatalog, GroupSpec, cayley_tables, decompose_sum, mu_orbits
-from .graphs import Graph, degrees_same_parity, support_vertices
-from .labeling import Labeling, MagicCertificate, verify_magic
+from .abelian import GroupCatalog, GroupSpec, cayley_tables, mu_orbits
+from .graphs import Graph, degrees_same_parity, pendant_bunches, support_vertices
+from .labeling import Labeling, MagicCertificate, fill_pendants, verify_magic
 
 EXISTS_MAX_N = 13
 COUNT_MAX_N = 10
@@ -70,24 +75,6 @@ class EmpiricalVerdict:
         return self.refuted_by is None
 
 
-def _core_split(g: Graph):
-    """(core vertices, pendants-per-core-vertex) when aggregation applies."""
-    if g.n <= 2:
-        return None
-    pendants = [v for v in range(g.n) if g.degree(v) == 1]
-    if any(g.degree(g.adj[p][0]) == 1 for p in pendants):
-        return None  # two adjacent degree-1 vertices (K2); no aggregation
-    core = [v for v in range(g.n) if g.degree(v) > 1]
-    core_index = {v: i for i, v in enumerate(core)}
-    pend_count = [0] * len(core)
-    for p in pendants:
-        pend_count[core_index[g.adj[p][0]]] += 1
-    neigh = tuple(
-        tuple(core_index[w] for w in g.adj[v] if g.degree(w) > 1) for v in core
-    )
-    return core, pend_count, neigh
-
-
 def _certify(g: Graph, lab: Labeling) -> MagicCertificate:
     # an explicit raise, not an assert, so the check survives python -O
     cert = verify_magic(g, lab)
@@ -113,54 +100,29 @@ def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveO
         raise SolverBoundError(f"n = {g.n} exceeds the solver bound {max_n}")
     t0 = time.perf_counter()
     m, add, neg = cayley_tables(spec)
+    bunches = pendant_bunches(g)
+    # the core is every vertex but the pendants; the two ends of K2 support
+    # each other, so for n <= 2 nothing is aggregated
+    pendants = set().union(*bunches) if g.n > 2 else set()
+    core = [v for v in range(g.n) if v not in pendants]
+    index = {v: i for i, v in enumerate(core)}
+    neigh = tuple(tuple([index[w] for w in g.adj[v] if w in index]) for v in core)
+    # neighbours outside the core are the aggregated pendant bunch
+    pend = [g.degree(v) - len(nv) for v, nv in zip(core, neigh)]
     nodes = 0
-
-    split = _core_split(g)
-    if split is None:
-        # tiny/degenerate graphs: full DFS over all vertices, no aggregation
-        supports = support_vertices(g)
-        for mu in _constants(spec, bool(supports)):
-            forced = [-1] * g.n
-            for s in supports:
-                forced[s] = mu
-            labels, nd = kernels.search_exists(
-                g.n, g.adj, [0] * g.n, forced, m, add, neg, mu
-            )
-            nodes += nd
-            if labels is not None:
-                lab = Labeling(spec, tuple(spec.element_at(i) for i in labels))
-                cert = _certify(g, lab)
-                return SolveOutcome("witness", lab, cert, nodes, time.perf_counter() - t0)
-        return SolveOutcome("exhausted", None, None, nodes, time.perf_counter() - t0)
-
-    core, pend_count, neigh = split
-    # the supports are exactly the core vertices that carry pendants
-    for mu in _constants(spec, any(pend_count)):
-        forced = [mu if c else -1 for c in pend_count]
-        core_labels, nd = kernels.search_exists(
-            len(core), neigh, pend_count, forced, m, add, neg, mu
+    for mu in _constants(spec, any(bunches)):
+        forced = [mu if bunches[v] else -1 for v in core]
+        labels, nd = kernels.search_exists(
+            len(core), neigh, pend, forced, m, add, neg, mu
         )
         nodes += nd
-        if core_labels is None:
+        if labels is None:
             continue
-        # materialize pendant bunches deterministically via the
-        # decomposition lemma; by feasibility this cannot fail
         values: list = [None] * g.n
-        for i, v in enumerate(core):
-            values[v] = spec.element_at(core_labels[i])
-        mu_elem = spec.element_at(mu)
-        for i, v in enumerate(core):
-            if pend_count[i] == 0:
-                continue
-            partial = spec.zero()
-            for w in g.adj[v]:
-                if g.degree(w) > 1:
-                    partial = partial + values[w]
-            target = mu_elem - partial
-            pendants = [w for w in g.adj[v] if g.degree(w) == 1]
-            parts = decompose_sum(spec, target, len(pendants))
-            for w, x in zip(sorted(pendants), parts):
-                values[w] = x
+        for v, x in zip(core, labels):
+            values[v] = spec.element_at(x)
+        # by the bunch feasibility the search checked, this cannot fail
+        fill_pendants(g, spec, values, spec.element_at(mu))
         lab = Labeling(spec, tuple(values))
         cert = _certify(g, lab)
         return SolveOutcome("witness", lab, cert, nodes, time.perf_counter() - t0)

@@ -40,11 +40,11 @@ def test_inverse_law():
             assert (a + (-a)).is_zero()
 
 
-def test_scalar_mul_componentwise():
+def test_integer_multiple_componentwise():
     assert 2 * Z2Z4.element((1, 1)) == Z2Z4.element((0, 2))
 
 
-def test_element_orders():
+def test_orders_of_elements():
     assert Z4.element(2).order() == 2
     assert Z2Z4.element((1, 1)).order() == 4
     assert Z6.element(2).order() == 3

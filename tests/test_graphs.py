@@ -9,6 +9,7 @@ from vertexmagic.graphs import (
     diameter,
     is_generalized_sun,
     lemma0_obstruction,
+    pendant_bunches,
     read_graph_file,
     support_vertices,
     to_dot,
@@ -146,7 +147,9 @@ def test_classify_matches_definitions_on_random_graphs():
         prof = classify_vertices(g)
         pendants = {v for v in range(n) if len(g.adj[v]) == 1}
         assert prof.pendants == pendants
+        bunches = pendant_bunches(g)
         for v in range(n):
+            assert bunches[v] == tuple(w for w in g.adj[v] if w in pendants)
             nb_pendants = sum(1 for w in g.adj[v] if w in pendants)
             assert (v in prof.supports) == (nb_pendants >= 1)
             assert (v in prof.weak_supports) == (nb_pendants == 1)
@@ -158,6 +161,8 @@ def test_classify_matches_definitions_on_random_graphs():
 def test_support_vertices_tiny():
     assert support_vertices(Graph.from_edges(1, [])) == []
     assert support_vertices(Graph.from_edges(2, [(0, 1)])) == [0, 1]
+    assert pendant_bunches(Graph.from_edges(1, [])) == ((),)
+    assert pendant_bunches(Graph.from_edges(2, [(0, 1)])) == ((1,), (0,))
     assert support_vertices(cycle(5)) == []
 
 

@@ -11,7 +11,7 @@ from vertexmagic.abelian import (
     parse_group,
 )
 from vertexmagic.families import build, enumerate_connected, parse_instance, recognize
-from vertexmagic.graphs import Graph, classify_vertices
+from vertexmagic.graphs import Graph
 from vertexmagic.labeling import verify_magic
 from vertexmagic.oracle import OracleBoundError, naive_count, naive_exists
 from vertexmagic import solver
@@ -94,13 +94,30 @@ def test_z2_examples():
     assert z2_magic(cycle(6))
 
 
+# (n, group, witness, mu, nodes) of K1 and K2, frozen values; for n <= 2 the
+# solver's core is every vertex, so nothing is aggregated
+_TINY = [
+    (1, "Z2", "v0=1", "0", 1),
+    (1, "Z3", "v0=1", "0", 1),
+    (1, "Z4", "v0=1", "0", 1),
+    (1, "Z2+Z2", "v0=(0,1)", "(0,0)", 1),
+    # the two ends of K2 support each other, so both are forced to mu
+    (2, "Z2", "v0=1,v1=1", "1", 2),
+    (2, "Z3", "v0=1,v1=1", "1", 2),
+    (2, "Z4", "v0=1,v1=1", "1", 2),
+    (2, "Z2+Z2", "v0=(0,1),v1=(0,1)", "(0,1)", 2),
+]
+
+
 def test_tiny_graphs():
-    k1 = Graph.from_edges(1, [])
-    out = exists_magic(k1, Z3)
-    assert out.is_witness and out.certificate.constant.is_zero()
+    for n, group, render, mu, nodes in _TINY:
+        g = Graph.from_edges(n, [(0, 1)] if n == 2 else [])
+        out = exists_magic(g, parse_group(group))
+        assert out.is_witness
+        assert out.labeling.render() == render, (n, group)
+        assert str(out.certificate.constant) == mu, (n, group)
+        assert out.nodes == nodes, (n, group)
     k2 = Graph.from_edges(2, [(0, 1)])
-    out = exists_magic(k2, Z3)
-    assert out.is_witness
     assert count_magic(k2, Z3) == 2  # both labels must equal mu
 
 
@@ -120,7 +137,7 @@ def test_size_bounds():
 @pytest.mark.parametrize(
     "g",
     [
-        Graph.from_edges(2, [(0, 1)]),  # tiny: full search, no aggregation
+        Graph.from_edges(2, [(0, 1)]),  # tiny: nothing aggregated
         build(parse_instance("G2(1,0)"))[0],  # pendant bunches aggregated
     ],
     ids=["K2", "G2(1,0)"],
@@ -205,27 +222,28 @@ def test_deterministic_witness():
 def _reference_exists(g, spec):
     """The search without orbit pruning: every mu in index order.
 
-    Returns (labels or None, mu index or None, nodes).  Pendant bunches are
-    materialized as the solver does, with the lex-least decomposition in
-    ascending pendant order.
+    Returns (labels or None, mu index or None, nodes).  The core split is
+    computed here from the degrees alone: the core is every vertex whose
+    degree is not 1 (every vertex when n <= 2), each support carries its
+    count of hanging pendants, and pendant bunches are materialized with the
+    lex-least decomposition in ascending pendant order.
     """
     m, add, neg = cayley_tables(spec)
-    supports = sorted(classify_vertices(g).supports)
-    split = solver._core_split(g)
+    leaves = [p for p in range(g.n) if g.degree(p) == 1]
+    supports = sorted({g.adj[p][0] for p in leaves})
+    core = list(range(g.n)) if g.n <= 2 else [v for v in range(g.n) if g.degree(v) != 1]
+    core_index = {v: i for i, v in enumerate(core)}
+    pend_count = [0] * len(core)
+    for p in leaves:
+        if p not in core_index:
+            pend_count[core_index[g.adj[p][0]]] += 1
+    neigh = tuple(
+        tuple(core_index[w] for w in g.adj[v] if w in core_index) for v in core
+    )
     nodes = 0
     for mu in range(m):
         if supports and mu == 0:
             continue
-        if split is None:
-            forced = [mu if v in supports else -1 for v in range(g.n)]
-            labels, nd = kernels.search_exists(
-                g.n, g.adj, [0] * g.n, forced, m, add, neg, mu
-            )
-            nodes += nd
-            if labels is not None:
-                return tuple(spec.element_at(x) for x in labels), mu, nodes
-            continue
-        core, pend_count, neigh = split
         forced = [mu if v in supports else -1 for v in core]
         labels, nd = kernels.search_exists(
             len(core), neigh, pend_count, forced, m, add, neg, mu
@@ -237,10 +255,12 @@ def _reference_exists(g, spec):
         for v, x in zip(core, labels):
             values[v] = spec.element_at(x)
         for v in supports:
-            pendants = sorted(w for w in g.adj[v] if g.degree(w) == 1)
+            pendants = sorted(w for w in g.adj[v] if w not in core_index)
+            if not pendants:
+                continue
             partial = spec.zero()
             for w in g.adj[v]:
-                if g.degree(w) > 1:
+                if w in core_index:
                     partial = partial + values[w]
             parts = decompose_sum(spec, spec.element_at(mu) - partial, len(pendants))
             for w, x in zip(pendants, parts):
