@@ -98,7 +98,9 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
         return
 
     rec(0, 0, True)
-    assert best is not None
+    # an explicit raise, not an assert, so the check survives python -O
+    if best is None:
+        raise RuntimeError("min_code: the cells admit no complete ordering")
     return _pack_bits(n, best)
 
 

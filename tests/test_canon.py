@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vertexmagic import kernels
 from vertexmagic.canon import canonical_code, refinement_cells
 from vertexmagic.families import enumerate_connected
 from vertexmagic.graphs import Graph, GraphError
@@ -172,3 +173,10 @@ def test_twin_heavy_n12(g):
     perm = list(range(g.n))
     rng.shuffle(perm)
     assert canonical_code(g.relabeled(perm)) == canonical_code(g)
+
+
+def test_min_code_raises_without_a_complete_ordering():
+    # a cell listing vertex 0 twice leaves its second position unfillable;
+    # the self-check is a raise, so it holds under python -O as well
+    with pytest.raises(RuntimeError, match="no complete ordering"):
+        kernels.min_code(2, (0b10, 0b01), [[0, 0]])

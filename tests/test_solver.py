@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vertexmagic import kernels
+from vertexmagic import kernels, oracle
 from vertexmagic.abelian import (
     cayley_tables,
     decompose_sum,
@@ -157,6 +158,89 @@ def test_pruned_agrees_with_naive_small():
         for spec in groups:
             assert exists_magic(g, spec).is_witness == naive_exists(g, spec)
             assert count_magic(g, spec) == naive_count(g, spec)
+
+
+_SMALL_GROUPS = list(enumerate_abelian_groups(5))
+
+
+@pytest.fixture(scope="module")
+def default_block_counts():
+    """naive_count at the default block size, on the rank-1 n <= 7 graphs."""
+    graphs = enumerate_connected(7, 1, 3)
+    return [(g, spec, naive_count(g, spec)) for g in graphs for spec in _SMALL_GROUPS]
+
+
+@pytest.mark.parametrize("block", [1, 4, 16])
+def test_naive_blocks_agree(monkeypatch, default_block_counts, block):
+    """Graphs spanning many blocks count as in one block, and as the solver.
+
+    At block 1 every candidate is its own block (about 7 us each), so that
+    size runs on the n <= 6 graphs only.
+    """
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    for g, spec, count in default_block_counts:
+        if block == 1 and g.n > 6:
+            continue
+        assert naive_count(g, spec) == count == count_magic(g, spec), (g.edges, spec)
+        assert naive_exists(g, spec) == (count > 0), (g.edges, spec)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+@pytest.mark.parametrize("block", [1, 4, 16, oracle._BLOCK])
+def test_naive_tiny_and_trivial_spaces(monkeypatch, block):
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    k1 = Graph.from_edges(1, [])
+    k2 = Graph.from_edges(2, [(0, 1)])
+    for spec in _SMALL_GROUPS:
+        # K1: every label is magic; K2: magic iff both labels are equal
+        assert naive_count(k1, spec) == spec.order - 1
+        assert naive_count(k2, spec) == spec.order - 1
+        assert naive_exists(k1, spec) and naive_exists(k2, spec)
+    # over Z2 the one candidate is all ones: magic iff the degrees agree mod 2
+    for g in (cycle(5), petersen(), Graph.from_edges(3, [(0, 1), (1, 2)])):
+        expected = int(len({d % 2 for d in g.degrees}) == 1)
+        assert naive_count(g, Z2) == expected
+        assert naive_exists(g, Z2) == bool(expected)
+        assert len(list(oracle._block_counts(g, Z2))) == 1
+
+
+def test_naive_space_exactly_one_block(monkeypatch):
+    """(|A|-1)^n == block is one block; one candidate less splits it."""
+    z5 = parse_group("Z5")
+    g = cycle(8)  # 4^8 candidates
+    expected = count_magic(g, z5)
+    for block, blocks in [(4 ** 8, 1), (4 ** 8 - 1, 4), (4 ** 7, 4), (16, 4 ** 6)]:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert len(list(oracle._block_counts(g, z5))) == blocks, block
+        assert naive_count(g, z5) == expected, block
+        assert naive_exists(g, z5) == (expected > 0)
+    monkeypatch.setattr(oracle, "_BLOCK", 16)
+    assert len(list(oracle._block_counts(cycle(4), Z3))) == 1  # 2^4 == 16
+
+
+def test_naive_count_memory_is_bounded():
+    """Memory follows the block, not the 4^10 candidates of Petersen over Z5
+    (the unblocked enumeration traced a 184 MiB peak here)."""
+    g, z5 = petersen(), parse_group("Z5")
+    cayley_tables(z5)  # cached tables are not the enumeration's
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert naive_count(g, z5) == 4
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_empirical_catalog_verdicts(catalog8):
