@@ -24,13 +24,31 @@ constraint (nonzero decompositions exist exactly per the decomposition
 lemma).  A witness's bunches are then filled by `labeling.fill_pendants`.
 K1 and K2 follow the same rule: for n <= 2 the core is every vertex, so the
 two ends of K2, each the other's support, are searched and not aggregated.
-Beyond the size bound it refuses rather than guess.
+
+Before any slice is searched, an integer-lattice presolve reads what the
+core's linear equations imply over every group (the shared-neighbourhood
+obstruction is its two-row case).  Its rows are Sum_{u in N(w)} x_u = mu
+for each core vertex w without a pendant bunch, and x_s = mu for each
+support s; a support's own weight row is dropped, since its pendant sum is
+no exact equation.  The Hermite normal form of [R | -1] gives two facts:
+d0 with d0 * mu = 0, and, for each core vertex v whose unit vector lies in
+the row lattice projected onto R, an integer k_v with x_v = k_v * mu.  A
+slice with d0 * mu != 0 or some k_v * mu = 0 is closed at 0 nodes.  In the
+other slices a determined vertex may take no label but k_v * mu; that is a
+check in the kernel, never a forced assignment or a new order, so the
+witness, its mu and every record stay as without the presolve and `nodes`
+can only fall.  The facts are computed once per core system, whatever the
+group, and cached.
+
+Beyond the size bound (n <= EXISTS_MAX_N, |A| <= EXISTS_MAX_ORDER) it
+refuses rather than guess.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernels
 from .abelian import GroupCatalog, GroupSpec, cayley_tables, mu_orbits
@@ -38,6 +56,12 @@ from .graphs import Graph, degrees_same_parity, pendant_bunches, support_vertice
 from .labeling import Labeling, MagicCertificate, fill_pendants, verify_magic
 
 EXISTS_MAX_N = 13
+# The m*m Cayley table (`abelian.cayley_tables`) is built before any search
+# and costs ~4x per doubling of |A|: C4 over Z256 sets up in 0.3 s (0.65 s
+# through `vmagic solve`), over Z512 in 1.1 s (1.6 s) and over Z1024 in
+# 5.0 s through `vmagic solve` (2 cores, Python 3.11).  Past 256 the table,
+# not the search, becomes what a call pays for.
+EXISTS_MAX_ORDER = 256
 COUNT_MAX_N = 10
 COUNT_MAX_ORDER = 5
 
@@ -94,26 +118,158 @@ def _constants(spec: GroupSpec, has_supports: bool) -> list[int]:
     ]
 
 
-def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveOutcome:
-    """Complete existence search, one candidate constant per Aut(A)-orbit."""
-    if g.n > max_n:
-        raise SolverBoundError(f"n = {g.n} exceeds the solver bound {max_n}")
-    t0 = time.perf_counter()
-    m, add, neg = cayley_tables(spec)
+def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Hermite normal form of the lattice the integer rows span.
+
+    Unimodular row operations only (Euclid on each column, then reduction of
+    the rows above): the nonzero rows come back with strictly increasing
+    pivot columns, positive pivots, and entries above each pivot in
+    [0, pivot).
+    """
+    rows = [r[:] for r in rows if any(r)]
+    basis: list[list[int]] = []
+    for col in range(ncols):
+        live = [r for r in rows if r[col]]
+        if not live:
+            continue
+        rest = [r for r in rows if not r[col]]
+        while True:
+            piv = min(live, key=lambda r: abs(r[col]))
+            left = []
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[col:] = [a - q * b for a, b in zip(r[col:], piv[col:])]
+                    (left if r[col] else rest).append(r)
+            if not left:
+                break
+            live = left + [piv]
+        if piv[col] < 0:
+            piv[col:] = [-a for a in piv[col:]]
+        for r in basis:
+            q = r[col] // piv[col]
+            if q:
+                r[col:] = [a - q * b for a, b in zip(r[col:], piv[col:])]
+        basis.append(piv)
+        rows = [r for r in rest if any(r)]
+    return basis
+
+
+# keyed on the core system, so computed once per graph whatever the group;
+# records are rechecked in any order, so the bound holds the whole standard
+# grid (759 instances, ~0.8 KB each), not just the last few graphs
+@lru_cache(maxsize=1024)
+def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(d0, ((v, k_v), ...)) read from the Hermite normal form of the core
+    system [R | -1].
+
+    R holds Sum_{u in neigh(w)} x_u = mu for each core vertex w without a
+    pendant bunch, and x_s = mu for each support s.  A support's own weight
+    row is left out: its pendants' labels are free, so it is no exact
+    equation on the core.  Every integer combination of the rows holds in
+    every magic labeling, over every group.  A combination with a zero
+    R-part yields d0 * mu = 0 (d0 = 0 when there is none), and one whose
+    R-part is the unit vector of v yields x_v = k_v * mu (k_v is defined
+    mod d0).  The pairs (v, k_v) are listed for the vertices that are no
+    supports and have such a combination.
+
+    Subtracting the rows x_s = mu clears the support columns of the other
+    rows without changing the lattice.  A combination whose R-part vanishes,
+    or is e_v for a vertex v that is no support, then uses no x_s = mu row,
+    so the cleared rows alone give d0 and those k_v.  A support's x_s = mu
+    is the forcing the search applies anyway, so it is not listed.
+    """
+    c = len(neigh)
+    rows = []
+    for w, nw in enumerate(neigh):
+        if not pend[w]:
+            row = [0] * (c + 1)
+            for u in nw:
+                row[c if support[u] else u] += 1
+            row[c] -= 1
+            rows.append(row)
+    basis = _hermite(rows, c + 1)
+    # only the last basis row can have a zero R-part: the one pivoting on mu
+    d0 = basis[-1][c] if basis and not any(basis[-1][:c]) else 0
+    fixed = []
+    for r in basis:
+        # the basis is fully reduced, so e_v lies in the projected lattice
+        # exactly when some basis row is (e_v, b); then x_v = -b * mu
+        if sum(map(abs, r[:c])) == 1:
+            fixed.append((r.index(1), -r[c] % d0 if d0 else -r[c]))
+    return d0, tuple(fixed)
+
+
+def _core(g: Graph):
+    """(core, neigh, pend, support): the vertices the search labels, their
+    core neighbours (as core indices), the size of their pendant bunch, and
+    whether they are supports."""
     bunches = pendant_bunches(g)
     # the core is every vertex but the pendants; the two ends of K2 support
     # each other, so for n <= 2 nothing is aggregated
     pendants = set().union(*bunches) if g.n > 2 else set()
     core = [v for v in range(g.n) if v not in pendants]
     index = {v: i for i, v in enumerate(core)}
-    neigh = tuple(tuple([index[w] for w in g.adj[v] if w in index]) for v in core)
+    neigh = tuple([tuple([index[w] for w in g.adj[v] if w in index]) for v in core])
     # neighbours outside the core are the aggregated pendant bunch
-    pend = [g.degree(v) - len(nv) for v, nv in zip(core, neigh)]
+    pend = tuple([g.degree(v) - len(nv) for v, nv in zip(core, neigh)])
+    support = tuple([bool(bunches[v]) for v in core])
+    return core, neigh, pend, support
+
+
+def lattice_facts(g: Graph) -> tuple[int, dict[int, int]]:
+    """The presolve's facts over g's own vertices: (d0, {v: k_v}), i.e.
+    d0 * mu = 0 and x_v = k_v * mu in every magic labeling over any group,
+    for the core vertices that are no supports (a support's label is mu)."""
+    core, neigh, pend, support = _core(g)
+    d0, fixed = _lattice_facts(neigh, pend, support)
+    return d0, {core[v]: kv for v, kv in fixed}
+
+
+def _fixed_labels(spec: GroupSpec, mu: int, d0: int, fixed, c: int) -> list[int] | None:
+    """The label each of the c core vertices must take at this mu (-1: not
+    fixed), or None when the facts close the slice: d0 * mu != 0, or a
+    fixed label is zero."""
+    residues = spec.element_at(mu).residues
+
+    def times(a: int) -> int:  # the index of a * mu
+        idx = 0
+        for r, f in zip(residues, spec.factors):
+            idx = idx * f + a * r % f
+        return idx
+
+    if times(d0):
+        return None
+    labels = [-1] * c
+    for v, kv in fixed:
+        labels[v] = times(kv)
+        if not labels[v]:
+            return None
+    return labels
+
+
+def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveOutcome:
+    """Complete existence search, one candidate constant per Aut(A)-orbit."""
+    if g.n > max_n:
+        raise SolverBoundError(f"n = {g.n} exceeds the solver bound {max_n}")
+    if spec.order > EXISTS_MAX_ORDER:
+        raise SolverBoundError(
+            f"|A| = {spec.order} exceeds the solver bound {EXISTS_MAX_ORDER}"
+        )
+    t0 = time.perf_counter()
+    m, add, neg = cayley_tables(spec)
+    core, neigh, pend, support = _core(g)
+    d0, facts = _lattice_facts(neigh, pend, support)
     nodes = 0
-    for mu in _constants(spec, any(bunches)):
-        forced = [mu if bunches[v] else -1 for v in core]
+    for mu in _constants(spec, any(support)):
+        fixed = None
+        if d0 or facts:
+            fixed = _fixed_labels(spec, mu, d0, facts, len(core))
+            if fixed is None:
+                continue  # closed by the presolve, at 0 nodes
+        forced = [mu if s else -1 for s in support]
         labels, nd = kernels.search_exists(
-            len(core), neigh, pend, forced, m, add, neg, mu
+            len(core), neigh, pend, forced, m, add, neg, mu, fixed
         )
         nodes += nd
         if labels is None:

@@ -89,3 +89,10 @@ def test_solve_beyond_bound_exits_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "solver bound" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_solve_beyond_group_order_bound_exits_cleanly(capsys):
+    assert main(["solve", "C4", "--group", "Z512"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "|A| = 512 exceeds the solver bound" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vertexmagic import kernels, oracle
 from vertexmagic.abelian import (
@@ -17,11 +20,13 @@ from vertexmagic.labeling import verify_magic
 from vertexmagic.oracle import OracleBoundError, naive_count, naive_exists
 from vertexmagic import solver
 from vertexmagic.solver import (
+    EXISTS_MAX_ORDER,
     SolverBoundError,
     WitnessError,
     count_magic,
     exists_magic,
     is_group_vertex_magic_empirical,
+    lattice_facts,
     z2_magic,
 )
 from vertexmagic.workbench import standard_catalog, standard_grid
@@ -304,7 +309,8 @@ def test_deterministic_witness():
 
 
 def _reference_exists(g, spec):
-    """The search without orbit pruning: every mu in index order.
+    """The search without orbit pruning and without the lattice presolve:
+    every mu in index order, and no label fixed in the kernel.
 
     Returns (labels or None, mu index or None, nodes).  The core split is
     computed here from the degrees alone: the core is every vertex whose
@@ -374,8 +380,8 @@ def test_orbit_pruning_keeps_every_witness(grid):
 
 
 @st.composite
-def _small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def _small_graphs(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(u, v) for v in range(n) for u in range(v)]
     if pairs:
@@ -394,8 +400,131 @@ def test_pruned_agrees_with_naive_off_atlas(g):
 
 def test_two_group_orbit_pruning():
     # GL(4,2) is transitive on the 15 nonzero constants, so one slice is
-    # searched where the unpruned loop searched 15 (10,170 nodes)
+    # searched where the unpruned loop searched 15 (10,170 nodes; the one
+    # slice alone took 1,336); the lattice presolve then closes that slice
+    # too, since M7(0,0) has d0 = 1 and x_v = 0 for two vertices
     g, _ = build(parse_instance("M7(0,0)"))
-    out = exists_magic(g, parse_group("Z2+Z2+Z2+Z2"))
+    spec = parse_group("Z2+Z2+Z2+Z2")
+    out = exists_magic(g, spec)
     assert not out.is_witness
-    assert out.nodes < 10_170
+    assert out.nodes == 0
+    assert _reference_exists(g, spec)[2] == 10_170
+
+
+def _magic_labelings(g, spec):
+    """Every magic labeling as (labels, mu) over element indices, by brute
+    force over (A-{0})^V."""
+    m, add, _ = cayley_tables(spec)
+    for labels in product(range(1, m), repeat=g.n):
+        mu = None
+        for v in range(g.n):
+            w = 0
+            for u in g.adj[v]:
+                w = add[w * m + labels[u]]
+            if mu is None:
+                mu = w
+            elif w != mu:
+                break
+        else:
+            yield labels, mu
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_graphs(max_n=7), st.sampled_from(list(enumerate_abelian_groups(5))))
+# random graphs seldom have a fact with k_v * mu != 0 and labelings to test
+# it on; these do: x2 = x4 = -mu, x1 = -mu, and d0 = 2 with x5 = mu
+@example(Graph.from_edges(6, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5)]), Z4)
+@example(Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (1, 5),
+                              (3, 4), (4, 5), (4, 6)]), parse_group("Z5"))
+@example(Graph.from_edges(7, [(0, 1), (0, 2), (0, 6), (1, 2), (1, 3), (1, 5), (2, 4),
+                              (3, 5), (3, 6)]), parse_group("Z2+Z2"))
+def test_lattice_facts_hold_in_every_magic_labeling(g, spec):
+    """d0 * mu = 0 and x_v = k_v * mu in every labeling brute force finds."""
+    d0, k = lattice_facts(g)
+    for labels, mu in _magic_labelings(g, spec):
+        x = spec.element_at(mu)
+        assert (d0 * x).is_zero(), (g.edges, spec, labels)
+        for v, kv in k.items():
+            assert spec.element_at(labels[v]) == kv * x, (g.edges, spec, labels, v)
+
+
+def _triangle_with_tail():
+    """Triangle 0-1-2 closed again by the path 0-3-4-...-12-2 (n = 13)."""
+    path = [0, *range(3, 13), 2]
+    return Graph.from_edges(13, [(0, 1), (1, 2), (0, 2), *zip(path, path[1:])])
+
+
+def test_presolve_closes_the_triangle_with_tail():
+    # x0 + x2 = mu at vertex 1; along the path and around vertex 0 the rows
+    # combine to x1 = 0, so the graph is magic over no group
+    g = _triangle_with_tail()
+    assert lattice_facts(g) == (0, {1: 0})
+    for spec in standard_catalog(32):
+        if spec.order >= 16:
+            out = exists_magic(g, spec)
+            assert out.status == "exhausted" and out.nodes == 0, spec
+
+
+def test_presolve_forces_mu_zero_with_supports(catalog8):
+    # d0 = 1 forces mu = 0, which a graph with supports never takes
+    g, _ = build(parse_instance("M1(1,1,0)"))
+    assert lattice_facts(g)[0] == 1
+    for spec in catalog8:
+        out = exists_magic(g, spec)
+        assert out.status == "exhausted" and out.nodes == 0, spec
+
+
+def test_presolve_d0_alone_closes_slices():
+    # d0 = 2 and x5 = mu: over Z3, mu = 0 forces x5 = 0 and every other mu
+    # has 2 * mu != 0, so no slice is searched
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 6), (1, 2), (1, 3), (1, 5), (2, 4),
+                             (3, 5), (3, 6)])
+    assert lattice_facts(g) == (2, {5: 1})
+    out = exists_magic(g, Z3)
+    assert out.status == "exhausted" and out.nodes == 0
+
+
+def test_fixed_labels_only_reject_inside_the_search(monkeypatch):
+    """A vertex the facts fix is still branched on in pick() order; the
+    kernel merely rejects its other labels, so the witness stays and only
+    the node count falls (frozen: 7 with the check, 67 without)."""
+    g = Graph.from_edges(8, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 7),
+                             (2, 6), (2, 7), (3, 6), (4, 5), (4, 7), (6, 7)])
+    z5 = parse_group("Z5")
+    assert lattice_facts(g) == (0, {0: -1, 1: -4, 2: -2, 3: 4, 6: 6, 7: -1})
+    out = exists_magic(g, z5)
+    labels, mu, _ = _reference_exists(g, z5)
+    assert out.labeling.values == labels
+    assert z5.index_of(out.certificate.constant) == mu
+    assert out.nodes == 7
+    search = kernels.search_exists
+    monkeypatch.setattr(kernels, "search_exists", lambda *args: search(*args[:8]))
+    unchecked = exists_magic(g, z5)
+    assert unchecked.labeling == out.labeling
+    assert unchecked.nodes == 67
+
+
+def test_group_order_bound():
+    spec = parse_group(f"Z{EXISTS_MAX_ORDER}")
+    assert exists_magic(cycle(4), spec).is_witness
+    with pytest.raises(SolverBoundError, match="solver bound"):
+        exists_magic(cycle(4), parse_group(f"Z{2 * EXISTS_MAX_ORDER}"))
+    with pytest.raises(SolverBoundError, match="solver bound"):
+        exists_magic(cycle(4), parse_group(f"Z2+Z{EXISTS_MAX_ORDER}"))
+
+
+def test_oracle_shares_no_code_with_the_search():
+    """oracle.py imports neither the solver, nor the kernels, nor the
+    presolve, so it stays an independent check of the search."""
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    forbidden = {"solver", "kernels", "lattice_facts"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports parsed"
+    assert not imported & forbidden, imported & forbidden
