@@ -118,11 +118,11 @@ class _Search:
     """Shared DFS state for the exists/count searches on one mu-slice."""
 
     __slots__ = (
-        "n", "neigh", "pend", "m", "add", "neg", "mu", "fixed",
+        "n", "neigh", "pend", "m", "add", "neg", "mu",
         "labels", "unl", "psum", "nodes",
     )
 
-    def __init__(self, n, neigh, pend, m, add, neg, mu, fixed=None):
+    def __init__(self, n, neigh, pend, m, add, neg, mu):
         self.n = n
         self.neigh = neigh
         self.pend = pend
@@ -130,7 +130,6 @@ class _Search:
         self.add = add
         self.neg = neg
         self.mu = mu
-        self.fixed = [-1] * n if fixed is None else fixed
         self.labels = [-1] * n
         self.unl = [len(neigh[v]) for v in range(n)]
         self.psum = [0] * n
@@ -144,7 +143,7 @@ class _Search:
 
     def assign(self, v0: int, val0: int, trail: list[int]) -> bool:
         """Set v0 := val0 and run constraint propagation; False on dead end."""
-        add, neg, m, mu, fixed = self.add, self.neg, self.m, self.mu, self.fixed
+        add, neg, m, mu = self.add, self.neg, self.m, self.mu
         labels, unl, psum, pend, neigh = (
             self.labels, self.unl, self.psum, self.pend, self.neigh,
         )
@@ -155,9 +154,7 @@ class _Search:
                 if labels[v] != val:
                     return False
                 continue
-            # a vertex the caller fixed takes its fixed label or nothing: a
-            # check only, so the search order and its first witness stay
-            if val == 0 or (fixed[v] >= 0 and val != fixed[v]):
+            if val == 0:
                 return False
             labels[v] = val
             trail.append(v)
@@ -221,16 +218,14 @@ class _Search:
         return best_v
 
 
-def search_exists(n, neigh, pend, forced, m, add, neg, mu, fixed=None):
+def search_exists(n, neigh, pend, forced, m, add, neg, mu):
     """First magic assignment of the pendant-free core for this mu, if any.
 
     Returns (labels | None, nodes).  Support vertices carry `pend[v]` hanging
     pendants whose labels are aggregated into a sum-feasibility constraint;
-    the caller materializes them afterwards.  `fixed[v] >= 0` is the only
-    label vertex v may take (every magic labeling has it); the search still
-    assigns v by its own order and merely rejects any other value.
+    the caller materializes them afterwards.
     """
-    st = _Search(n, neigh, pend, m, add, neg, mu, fixed)
+    st = _Search(n, neigh, pend, m, add, neg, mu)
     if not st.init_forced(forced):
         return None, st.nodes
 

@@ -33,12 +33,10 @@ support s; a support's own weight row is dropped, since its pendant sum is
 no exact equation.  The Hermite normal form of [R | -1] gives two facts:
 d0 with d0 * mu = 0, and, for each core vertex v whose unit vector lies in
 the row lattice projected onto R, an integer k_v with x_v = k_v * mu.  A
-slice with d0 * mu != 0 or some k_v * mu = 0 is closed at 0 nodes.  In the
-other slices a determined vertex may take no label but k_v * mu; that is a
-check in the kernel, never a forced assignment or a new order, so the
-witness, its mu and every record stay as without the presolve and `nodes`
-can only fall.  The facts are computed once per core system, whatever the
-group, and cached.
+slice with d0 * mu != 0 or some k_v * mu = 0 is closed at 0 nodes; the
+other slices are searched exactly as without the presolve, so the witness,
+its mu and every record stay the same and `nodes` can only fall.  The facts
+are computed once per core system, whatever the group, and cached.
 
 Beyond the size bound (n <= EXISTS_MAX_N, |A| <= EXISTS_MAX_ORDER) it
 refuses rather than guess.
@@ -226,10 +224,9 @@ def lattice_facts(g: Graph) -> tuple[int, dict[int, int]]:
     return d0, {core[v]: kv for v, kv in fixed}
 
 
-def _fixed_labels(spec: GroupSpec, mu: int, d0: int, fixed, c: int) -> list[int] | None:
-    """The label each of the c core vertices must take at this mu (-1: not
-    fixed), or None when the facts close the slice: d0 * mu != 0, or a
-    fixed label is zero."""
+def _closed(spec: GroupSpec, mu: int, d0: int, fixed) -> bool:
+    """Whether the facts refute this mu: d0 * mu != 0, or some k_v * mu = 0
+    although x_v must be nonzero."""
     residues = spec.element_at(mu).residues
 
     def times(a: int) -> int:  # the index of a * mu
@@ -238,14 +235,7 @@ def _fixed_labels(spec: GroupSpec, mu: int, d0: int, fixed, c: int) -> list[int]
             idx = idx * f + a * r % f
         return idx
 
-    if times(d0):
-        return None
-    labels = [-1] * c
-    for v, kv in fixed:
-        labels[v] = times(kv)
-        if not labels[v]:
-            return None
-    return labels
+    return bool(times(d0)) or any(not times(kv) for _, kv in fixed)
 
 
 def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveOutcome:
@@ -262,14 +252,11 @@ def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveO
     d0, facts = _lattice_facts(neigh, pend, support)
     nodes = 0
     for mu in _constants(spec, any(support)):
-        fixed = None
-        if d0 or facts:
-            fixed = _fixed_labels(spec, mu, d0, facts, len(core))
-            if fixed is None:
-                continue  # closed by the presolve, at 0 nodes
+        if (d0 or facts) and _closed(spec, mu, d0, facts):
+            continue  # closed by the presolve, at 0 nodes
         forced = [mu if s else -1 for s in support]
         labels, nd = kernels.search_exists(
-            len(core), neigh, pend, forced, m, add, neg, mu, fixed
+            len(core), neigh, pend, forced, m, add, neg, mu
         )
         nodes += nd
         if labels is None:

@@ -310,7 +310,7 @@ def test_deterministic_witness():
 
 def _reference_exists(g, spec):
     """The search without orbit pruning and without the lattice presolve:
-    every mu in index order, and no label fixed in the kernel.
+    every mu in index order.
 
     Returns (labels or None, mu index or None, nodes).  The core split is
     computed here from the degrees alone: the core is every vertex whose
@@ -359,6 +359,33 @@ def _reference_exists(g, spec):
     return None, None, nodes
 
 
+def _without_presolve(monkeypatch):
+    """Give exists_magic no lattice facts, so only orbit pruning is left."""
+    monkeypatch.setattr(solver, "_lattice_facts", lambda *core: (0, ()))
+
+
+def test_orbit_pruning_alone_keeps_every_witness(grid, monkeypatch):
+    """Orbit pruning without the presolve: the unpruned loop's witnesses,
+    never more nodes, and fewer in total."""
+    _without_presolve(monkeypatch)
+    catalog = standard_catalog(16)
+    saved = 0
+    for inst in grid:
+        g, _ = build(inst)
+        if g.n > 9:
+            continue
+        for spec in catalog:
+            out = exists_magic(g, spec)
+            labels, mu, ref_nodes = _reference_exists(g, spec)
+            assert out.is_witness == (labels is not None), (inst, spec)
+            if labels is not None:
+                assert out.labeling.values == labels, (inst, spec)
+                assert spec.index_of(out.certificate.constant) == mu
+            assert out.nodes <= ref_nodes
+            saved += ref_nodes - out.nodes
+    assert saved > 0
+
+
 def test_orbit_pruning_keeps_every_witness(grid):
     """Same status, witness and mu as the unpruned loop; never more nodes."""
     catalog = standard_catalog(16)
@@ -398,17 +425,19 @@ def test_pruned_agrees_with_naive_off_atlas(g):
         assert exists_magic(g, spec).is_witness == naive_exists(g, spec)
 
 
-def test_two_group_orbit_pruning():
+def test_two_group_orbit_pruning(monkeypatch):
     # GL(4,2) is transitive on the 15 nonzero constants, so one slice is
-    # searched where the unpruned loop searched 15 (10,170 nodes; the one
-    # slice alone took 1,336); the lattice presolve then closes that slice
-    # too, since M7(0,0) has d0 = 1 and x_v = 0 for two vertices
+    # searched where the unpruned loop searched 15 (10,170 nodes)
     g, _ = build(parse_instance("M7(0,0)"))
     spec = parse_group("Z2+Z2+Z2+Z2")
-    out = exists_magic(g, spec)
-    assert not out.is_witness
-    assert out.nodes == 0
     assert _reference_exists(g, spec)[2] == 10_170
+    with monkeypatch.context() as patch:
+        _without_presolve(patch)
+        out = exists_magic(g, spec)
+    assert not out.is_witness
+    assert out.nodes == 1_336
+    # M7(0,0) has d0 = 1, so the presolve closes that slice too
+    assert exists_magic(g, spec).nodes == 0
 
 
 def _magic_labelings(g, spec):
@@ -482,26 +511,6 @@ def test_presolve_d0_alone_closes_slices():
     assert lattice_facts(g) == (2, {5: 1})
     out = exists_magic(g, Z3)
     assert out.status == "exhausted" and out.nodes == 0
-
-
-def test_fixed_labels_only_reject_inside_the_search(monkeypatch):
-    """A vertex the facts fix is still branched on in pick() order; the
-    kernel merely rejects its other labels, so the witness stays and only
-    the node count falls (frozen: 7 with the check, 67 without)."""
-    g = Graph.from_edges(8, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 7),
-                             (2, 6), (2, 7), (3, 6), (4, 5), (4, 7), (6, 7)])
-    z5 = parse_group("Z5")
-    assert lattice_facts(g) == (0, {0: -1, 1: -4, 2: -2, 3: 4, 6: 6, 7: -1})
-    out = exists_magic(g, z5)
-    labels, mu, _ = _reference_exists(g, z5)
-    assert out.labeling.values == labels
-    assert z5.index_of(out.certificate.constant) == mu
-    assert out.nodes == 7
-    search = kernels.search_exists
-    monkeypatch.setattr(kernels, "search_exists", lambda *args: search(*args[:8]))
-    unchecked = exists_magic(g, z5)
-    assert unchecked.labeling == out.labeling
-    assert unchecked.nodes == 67
 
 
 def test_group_order_bound():
