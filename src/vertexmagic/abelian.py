@@ -401,15 +401,20 @@ def parse_group(text: str) -> GroupSpec:
 def parse_element(spec: GroupSpec, text: str) -> GroupElement:
     """Parse `3` or `(1,0)` as an element of spec."""
     s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        body = s[1:-1].strip()
-        parts = [p for p in body.split(",") if p.strip() != ""]
-        return spec.element(tuple(int(p) for p in parts))
-    if spec.rank != 1:
+    is_tuple = s.startswith("(") and s.endswith(")")
+    if not is_tuple and spec.rank != 1:
         raise GroupError(
             f"element of {spec} needs a {spec.rank}-tuple, got {text!r}"
         )
-    return spec.element(int(s))
+    try:
+        if is_tuple:
+            parts = [p for p in s[1:-1].split(",") if p.strip() != ""]
+            residues = tuple(int(p) for p in parts)
+        else:
+            residues = int(s)
+    except ValueError as exc:
+        raise GroupError(f"bad number in element {text!r}") from exc
+    return spec.element(residues)
 
 
 @lru_cache(maxsize=None)

@@ -1,19 +1,23 @@
 """Closed-form characterizations as executable predicates.
 
-`predict` evaluates, per family and group, the exact condition under which
-the instance admits a magic labeling; `construct_labeling` replays the
-matching constructive recipe with deterministic element choices and returns
-a verified labeling.  `classify_group_vertex_magic` stacks the structural
-rules (regularity, the shared-neighborhood obstruction, the Z2 parity
-criterion) ahead of the per-diameter characterizations.
+Each "if" half of the paper's characterizations is proved by writing the
+labeling down, so each family has one recipe in `_recipe`: it decides the
+family's condition over the group and, where the condition holds, returns
+the core labels and magic constant of the proof's labeling.  Existential
+conditions are decided by exhaustive sweep over the group, exact at catalog
+scale, and the elements a sweep finds are the ones the labeling uses.
+`predict` reads only the verdict from the recipe; `construct_labeling`
+fills the pendant bunches from the same core labels and verifies the
+result.  Z2 is answered by the parity criterion and position variants are
+not covered.  `classify_group_vertex_magic` stacks the structural rules
+(regularity, the shared-neighborhood obstruction, the Z2 parity criterion)
+ahead of the per-diameter characterizations.
 
-Existential element conditions are decided by exhaustive sweep over the
-group, which is exact at catalog scale.  Two predicates deviate knowingly
-from their published statements because the published versions fail against
-the search oracle; see the rule notes on Prop4.1 (groups whose elements all
-have order dividing 6 but containing 3-torsion, e.g. Z3, admit squares yet
-no labeling) and Prop4.4 (the magic constant may be 0 since the bare
-instance has no support vertex).
+Two predicates deviate knowingly from their published statements because
+the published versions fail against the search oracle; see the rule notes
+on Prop4.1 (groups whose elements all have order dividing 6 but containing
+3-torsion, e.g. Z3, admit squares yet no labeling) and Prop4.4 (the magic
+constant may be 0 since the bare instance has no support vertex).
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .abelian import (
     cauchy_element,
     decompose_sum,
     involutions,
-    squares,
 )
 from .families import FamilyInstance, build, recognize
 from .graphs import (
@@ -74,6 +77,10 @@ class ClassifyVerdict:
     refuter: GroupSpec | None = None
 
 
+# a recipe's labels: the core's labels by role, and the magic constant
+_Labels = tuple[dict[str, GroupElement], GroupElement]
+
+
 @lru_cache(maxsize=None)
 def _built(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
     return build(inst)
@@ -96,57 +103,119 @@ def predict(inst: FamilyInstance, spec: GroupSpec) -> TheoremVerdict:
     Z2 is always answered by the parity criterion; variants carry no
     closed-form statement and come back NOT_COVERED.
     """
-    if inst.variant is not None:
-        return TheoremVerdict(NOT_COVERED, "NotCovered",
-                              "position variant outside the drawn families")
-    if spec.order == 2:
-        g, _ = _built(inst)
-        ok = degrees_same_parity(g)
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Z2-parity")
+    return _decide(inst, spec)[0]
 
+
+def construct_labeling(inst: FamilyInstance, spec: GroupSpec) -> Labeling:
+    """Deterministic witness following the matching proof recipe."""
+    verdict, labels = _decide(inst, spec)
+    if labels is None:
+        raise ContractError(
+            f"no constructive recipe: predict({inst.render()}, {spec}) is "
+            f"{verdict.outcome}"
+        )
+    return _finish(inst, spec, *labels)
+
+
+def _decide(
+    inst: FamilyInstance, spec: GroupSpec
+) -> tuple[TheoremVerdict, _Labels | None]:
+    """The verdict, and the recipe's (core, mu) when it says magic."""
+    if inst.variant is not None:
+        return TheoremVerdict(
+            NOT_COVERED, "NotCovered",
+            "position variant outside the drawn families",
+        ), None
+    found = _recipe(inst, spec)
+    if found is None:
+        return TheoremVerdict(
+            NOT_COVERED, "NotCovered", f"no rule for {inst.family}"
+        ), None
+    rule, detail, labels = found
+    return TheoremVerdict(
+        NOT_MAGIC if labels is None else MAGIC, rule, detail
+    ), labels
+
+
+def _recipe(
+    inst: FamilyInstance, spec: GroupSpec
+) -> tuple[str, str, _Labels | None] | None:
+    """(rule, detail, labels) of the statement covering a drawn instance.
+
+    `labels` is the (core, mu) the proof writes down when the condition
+    holds, and None when it fails; the core labels every non-pendant vertex
+    by role.  Returns None for a family no statement covers.
+    """
     fam = inst.family
     p = inst.pendant_params
+    nonzero = spec.nonzero_elements()
+
+    if spec.order == 2:
+        g, roles = _built(inst)
+        if not degrees_same_parity(g):
+            return "Z2-parity", "", None
+        one = spec.element((1,) * spec.rank)
+        mu = spec.zero() if g.degree(0) % 2 == 0 else one
+        core = {r: one for r, v in roles.items() if g.degree(v) > 1}
+        return "Z2-parity", "", (core, mu)
+
     if fam == "CYCLE":
-        return TheoremVerdict(MAGIC, "Prop2.2")
+        x = nonzero[0]
+        return "Prop2.2", "", ({f"v{i + 1}": x for i in range(p[0])}, 2 * x)
+
     if fam in _SUN_FAMILIES:
-        g, _ = _built(inst)
+        g, roles = _built(inst)
         bunches = pendant_bunches(g)
         pendants = set().union(*bunches)
-        all_support = all(bunches[v] for v in range(g.n) if v not in pendants)
-        return TheoremVerdict(MAGIC if all_support else NOT_MAGIC, "Lemma2.5")
+        if not all(bunches[v] for v in range(g.n) if v not in pendants):
+            return "Lemma2.5", "", None
+        x = nonzero[0]
+        return "Lemma2.5", "", (
+            {r: x for r, v in roles.items() if g.degree(v) > 1}, x
+        )
+
+    rule = _NO_RULES.get(fam, ("",))[0]
+    if rule.startswith("Prop"):
+        # the shared-neighborhood obstruction: never magic
+        return rule, "", None
 
     if fam == "UD3-G2":
-        ok = p[1] == 0 and spec.order % 2 == 0
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop3.2")
+        if p[1] != 0 or spec.order % 2 == 1:
+            return "Prop3.2", "", None
+        h = _first_involution(spec)
+        gg = next(e for e in nonzero if e != h)
+        return "Prop3.2", "", ({"v1": gg, "v2": gg - h, "v3": h, "v4": h}, gg)
 
     if fam == "UD4-H1":
-        if p[1] != 0:
-            rule = "Prop3.4" if p[0] == 0 else "Prop3.5"
-            return TheoremVerdict(NOT_MAGIC, rule)
+        rule = "Prop3.4" if p[0] == 0 else "Prop3.5"
+        has_weak = any(c == 1 for c in inst.hub_subtrees)
+        if p[1] != 0 or (p[0] >= 1 and has_weak):
+            return rule, "", None
         d1 = _deg(inst, "v1")
         if p[0] == 0:
-            has_weak = any(c == 1 for c in inst.hub_subtrees)
-            for g1 in spec.nonzero_elements():
-                if ((d1 - 1) * g1).is_zero() or ((d1 - 2) * g1).is_zero():
-                    continue
-                if ((2 * d1 - 3) * g1).is_zero():
-                    continue
-                if has_weak and ((2 * d1 - 2) * g1).is_zero():
-                    continue
-                return TheoremVerdict(MAGIC, "Prop3.4")
-            return TheoremVerdict(NOT_MAGIC, "Prop3.4")
-        if any(c == 1 for c in inst.hub_subtrees):
-            return TheoremVerdict(NOT_MAGIC, "Prop3.5")
-        if p[0] == 1:
-            for h in sorted(involutions(spec), key=spec.index_of):
-                for g1 in spec.elements():
-                    if g1.is_zero() or g1 == h:
-                        continue
-                    if (d1 - 2) * g1 != h:
-                        return TheoremVerdict(MAGIC, "Prop3.5")
-            return TheoremVerdict(NOT_MAGIC, "Prop3.5")
-        ok = spec.order % 2 == 0
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop3.5")
+            gg = _first(nonzero, lambda e: not (
+                ((d1 - 1) * e).is_zero()
+                or ((d1 - 2) * e).is_zero()
+                or ((2 * d1 - 3) * e).is_zero()
+                or (has_weak and ((2 * d1 - 2) * e).is_zero())
+            ))
+            if gg is None:
+                return rule, "", None
+            return rule, "", _with_hub(inst, {
+                "v1": (3 - 2 * d1) * gg,
+                "v2": (2 - d1) * gg,
+                "v3": (d1 - 1) * gg,
+                "v4": (d1 - 1) * gg,
+            }, gg)
+        pair = _first_pair(
+            sorted(involutions(spec), key=spec.index_of), nonzero,
+            lambda h, e: e != h and (p[0] >= 2 or (d1 - 2) * e != h),
+        )
+        if pair is None:
+            return rule, "", None
+        h, gg = pair
+        core = {"v1": gg, "v2": gg - h, "v3": h, "v4": h}
+        return rule, "", _with_hub(inst, core, gg)
 
     if fam == "UD4-H2":
         if p[1] == 0 and p[2] == 0:
@@ -155,155 +224,181 @@ def predict(inst: FamilyInstance, spec: GroupSpec) -> TheoremVerdict:
             # skips; the weight chain leaves l(v2)=l(v3)=t free subject to
             # 2t = (1-k)g
             if p[0] != 0:
-                return TheoremVerdict(NOT_MAGIC, "Prop3.7")
-            ok = _h2_bare_pair(spec, len(inst.hub_subtrees)) is not None
-            return TheoremVerdict(
-                MAGIC if ok else NOT_MAGIC, "Prop3.7",
-                "bare-v2/v3 corner outside the published statement",
+                return "Prop3.7", "", None
+            detail = "bare-v2/v3 corner outside the published statement"
+            k = len(inst.hub_subtrees)
+            pair = _first_pair(
+                nonzero, nonzero, lambda e, t: t != e and 2 * t == (1 - k) * e
             )
+            if pair is None:
+                return "Prop3.7", detail, None
+            gg, t = pair
+            core = {"v1": gg - t, "v2": t, "v3": t}
+            return "Prop3.7", detail, _with_hub(inst, core, gg)
         if p[1] == 0 or p[2] == 0:
-            return TheoremVerdict(NOT_MAGIC, "Prop3.7")
+            return "Prop3.7", "", None
         d1 = _deg(inst, "v1")
-        strong_children = all(c >= 2 for c in inst.hub_subtrees)
-        if p[0] == 0 and gcd(d1 - 1, spec.order) != 1:
-            return TheoremVerdict(MAGIC, "Prop3.7")
-        if p[0] == 1 and strong_children and any(
-            not ((d1 - 2) * g1).is_zero() for g1 in spec.nonzero_elements()
-        ):
-            return TheoremVerdict(MAGIC, "Prop3.7")
-        if p[0] >= 2 and strong_children:
-            return TheoremVerdict(MAGIC, "Prop3.7")
-        return TheoremVerdict(NOT_MAGIC, "Prop3.7")
+        if p[0] == 0:
+            m = gcd(d1 - 1, spec.order)
+            if m == 1:
+                return "Prop3.7", "", None
+            gg = _prime_order_element(spec, m)
+            h = next(e for e in nonzero if e != gg)
+            core = {"v1": h, "v2": gg, "v3": gg}
+            return "Prop3.7", "", _with_hub(inst, core, gg)
+        if any(c < 2 for c in inst.hub_subtrees):
+            return "Prop3.7", "", None
+        gg = nonzero[0] if p[0] >= 2 else _first(
+            nonzero, lambda e: not ((d1 - 2) * e).is_zero()
+        )
+        if gg is None:
+            return "Prop3.7", "", None
+        core = {"v1": gg, "v2": gg, "v3": gg}
+        return "Prop3.7", "", _with_hub(inst, core, gg)
 
     if fam == "UD4-H3":
-        ok = p == (0, 0, 0) and gcd(_deg(inst, "v2") - 2, spec.order) != 1
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop3.9")
+        m = gcd(_deg(inst, "v2") - 2, spec.order) if p == (0, 0, 0) else 1
+        if m == 1:
+            return "Prop3.9", "", None
+        gg = _prime_order_element(spec, m)
+        g1, g2 = decompose_sum(spec, gg, 2)
+        core = {"v1": g1, "v2": g1, "v3": g2, "v4": g2}
+        return "Prop3.9", "", _with_hub(inst, core, gg)
 
     if fam == "UD4-H5":
         if p != (0, 0, 0):
-            return TheoremVerdict(NOT_MAGIC, "Prop3.10")
+            return "Prop3.10", "", None
         d2 = _deg(inst, "v2")
-        ok = any(
-            2 * h == (3 - d2) * g1 and g1 != h
-            for g1 in spec.nonzero_elements()
-            for h in spec.nonzero_elements()
+        pair = _first_pair(
+            nonzero, nonzero, lambda e, h: e != h and 2 * h == (3 - d2) * e
         )
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop3.10")
+        if pair is None:
+            return "Prop3.10", "", None
+        gg, h = pair
+        core = {"v1": h, "v2": h, "v3": h, "v4": gg - h, "v5": gg - h}
+        return "Prop3.10", "", _with_hub(inst, core, gg)
 
     if fam == "B3-M1":
         if p[0] != 0 or p[1] == 0 or p[2] == 0:
-            return TheoremVerdict(NOT_MAGIC, "Prop4.1")
-        ok = any(
-            not (2 * y).is_zero() and not (3 * y).is_zero()
-            for y in spec.nonzero_elements()
+            return "Prop4.1", "", None
+        detail = ("condition adjusted: needs an element with 2y != 0 and "
+                  "3y != 0, not merely a square")
+        y = _first(
+            nonzero, lambda e: not (2 * e).is_zero() and not (3 * e).is_zero()
         )
-        return TheoremVerdict(
-            MAGIC if ok else NOT_MAGIC, "Prop4.1",
-            "condition adjusted: needs an element with 2y != 0 and 3y != 0, "
-            "not merely a square",
-        )
+        if y is None:
+            return "Prop4.1", detail, None
+        gg = -(2 * y)
+        core = {"v1": -(3 * y), "v2": gg, "v3": gg, "v4": y, "v5": y}
+        return "Prop4.1", detail, (core, gg)
 
-    if fam == "B3-M2":
-        ok = p[0] == 0 and p[2] == 0 and p[1] >= 2 and bool(squares(spec))
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop4.2")
-
-    if fam == "B3-M3":
-        return TheoremVerdict(NOT_MAGIC, "Prop4.3")
+    if fam in ("B3-M2", "B3-M5"):
+        # both take mu = 2h for the first h with 2h != 0 (a nonzero square)
+        h = _first(nonzero, lambda e: not (2 * e).is_zero())
+        if fam == "B3-M2":
+            if p[0] != 0 or p[2] != 0 or p[1] < 2 or h is None:
+                return "Prop4.2", "", None
+            core = {"v1": h, "v2": 2 * h, "v3": h, "v4": -h}
+            return "Prop4.2", "", (core, 2 * h)
+        if p[0] < 1 or p[1] < 1 or h is None:
+            return "Prop4.5", "", None
+        core = {"v1": 2 * h, "v2": 2 * h, "v3": h, "v4": -h, "v5": h}
+        return "Prop4.5", "", (core, 2 * h)
 
     if fam == "B3-M4":
         if p != (0, 0):
-            return TheoremVerdict(NOT_MAGIC, "Prop4.4")
-        ok = _m4_pair(spec) is not None
-        return TheoremVerdict(
-            MAGIC if ok else NOT_MAGIC, "Prop4.4",
-            "condition adjusted: the magic constant g may be 0 because the "
-            "bare instance has no support vertex",
-        )
-
-    if fam == "B3-M5":
-        ok = p[0] >= 1 and p[1] >= 1 and bool(squares(spec))
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop4.5")
-
-    if fam in ("B3-M6", "B3-M7", "B3-M8"):
-        return TheoremVerdict(NOT_MAGIC, "Prop4.7")
+            return "Prop4.4", "", None
+        detail = ("condition adjusted: the magic constant g may be 0 because "
+                  "the bare instance has no support vertex")
+        pair = _first_pair(spec.elements(), nonzero, lambda e, h: (
+            e != h and e != 2 * h and 2 * e != 2 * h and 3 * e == 3 * h
+        ))
+        if pair is None:
+            return "Prop4.4", detail, None
+        gg, h = pair
+        core = {
+            "v1": 2 * h - gg, "v2": h, "v3": gg - h, "v4": gg - h,
+            "v5": 2 * gg - 2 * h, "v6": 2 * gg - 2 * h,
+        }
+        return "Prop4.4", detail, (core, gg)
 
     if fam == "B3-M9":
-        if p[0] != 0:
-            return TheoremVerdict(NOT_MAGIC, "Prop4.8")
-        ok = any(
-            (4 * (g1 - h)).is_zero() and g1 != h
-            for g1 in spec.nonzero_elements()
-            for h in spec.nonzero_elements()
+        pair = p[0] == 0 and _first_pair(
+            nonzero, nonzero, lambda e, h: e != h and (4 * (e - h)).is_zero()
         )
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop4.8")
+        if not pair:
+            return "Prop4.8", "", None
+        gg, h = pair
+        x = gg - h
+        core = {"v1": h, "v2": gg, "v3": x, "v4": x, "v5": x, "v6": x}
+        return "Prop4.8", "", (core, gg)
 
     if fam == "B3-M10":
-        ok = p == (0, 0) and spec.order % 2 == 0
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop4.9")
+        if p != (0, 0) or spec.order % 2 == 1:
+            return "Prop4.9", "", None
+        h = _first_involution(spec)
+        core = {r: h for r in ("v1", "v2", "v3", "v4", "v5", "v6")}
+        return "Prop4.9", "", (core, spec.zero())
 
     if fam == "B3-M11":
-        ok = p == (0, 0)
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop4.12")
+        if p != (0, 0):
+            return "Prop4.12", "", None
+        x = nonzero[0]
+        core = {
+            "v1": x, "v4": x, "v7": x,
+            "v2": -x, "v3": -x, "v5": -x, "v6": -x,
+        }
+        return "Prop4.12", "", (core, spec.zero())
 
     if fam == "B3-M12":
-        if p[1] != 0:
-            return TheoremVerdict(NOT_MAGIC, "Prop4.10")
-        ok = any(
-            not g1.is_zero() and not (h - g1).is_zero()
-            for h in involutions(spec)
-            for g1 in spec.elements()
-        )
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop4.10")
-
-    if fam == "B3-M13":
-        return TheoremVerdict(NOT_MAGIC, "Prop4.14")
+        # needs an involution h and some g not in {0, h}: even order >= 4
+        if p[1] != 0 or spec.order % 2 == 1:
+            return "Prop4.10", "", None
+        h = _first_involution(spec)
+        gg = next(e for e in nonzero if e != h)
+        core = {"v1": gg, "v2": gg + h, "v3": gg, "v4": h, "v5": h - gg}
+        return "Prop4.10", "", (core, gg)
 
     if fam == "B3-M14":
-        if p != (0, 0):
-            return TheoremVerdict(NOT_MAGIC, "Prop4.13")
-        ok = _m14_pair(spec) is not None
-        return TheoremVerdict(MAGIC if ok else NOT_MAGIC, "Prop4.13")
+        pair = p == (0, 0) and _first_pair(
+            nonzero, nonzero, lambda h1, h2: h1 != h2 and 2 * h1 == 2 * h2
+        )
+        if not pair:
+            return "Prop4.13", "", None
+        h1, h2 = pair
+        core = {
+            "v1": h1, "v5": h1, "v2": h2, "v4": h2, "v3": h2 - h1, "v6": h2,
+        }
+        return "Prop4.13", "", (core, 2 * h1)
 
-    return TheoremVerdict(NOT_COVERED, "NotCovered", f"no rule for {fam}")
-
-
-def _h2_bare_pair(
-    spec: GroupSpec, k_children: int
-) -> tuple[GroupElement, GroupElement] | None:
-    for g1 in spec.nonzero_elements():
-        for t in spec.nonzero_elements():
-            if t != g1 and 2 * t == (1 - k_children) * g1:
-                return g1, t
     return None
 
 
-def _m4_pair(spec: GroupSpec) -> tuple[GroupElement, GroupElement] | None:
-    for g1 in spec.elements():
-        for h in spec.nonzero_elements():
-            if g1 == h or g1 == 2 * h:
-                continue
-            if 2 * g1 == 2 * h or 3 * g1 != 3 * h:
-                continue
-            return g1, h
-    return None
+def _first(xs, ok):
+    """The first x with ok(x), or None."""
+    return next((x for x in xs if ok(x)), None)
 
 
-def _m14_pair(spec: GroupSpec) -> tuple[GroupElement, GroupElement] | None:
-    for h1 in spec.nonzero_elements():
-        for h2 in spec.nonzero_elements():
-            if h1 != h2 and 2 * h1 == 2 * h2:
-                return h1, h2
-    return None
-
-
-# --- constructive labelings --------------------------------------------------
-
-def _first_nonzero(spec: GroupSpec) -> GroupElement:
-    return spec.nonzero_elements()[0]
+def _first_pair(xs, ys, ok):
+    """The first (x, y), x-major, with ok(x, y), or None."""
+    return next(((x, y) for x in xs for y in ys if ok(x, y)), None)
 
 
 def _first_involution(spec: GroupSpec) -> GroupElement:
     return min(involutions(spec), key=spec.index_of)
+
+
+def _prime_order_element(spec: GroupSpec, m: int) -> GroupElement:
+    """The least element whose order is the least prime factor of m > 1."""
+    return cauchy_element(spec, min(d for d in range(2, m + 1) if m % d == 0))
+
+
+def _with_hub(
+    inst: FamilyInstance, core: dict[str, GroupElement], mu: GroupElement
+) -> _Labels:
+    """The core plus mu on every hub support child."""
+    kids = {f"u{i + 1}": mu for i in range(len(inst.hub_subtrees))}
+    return {**core, **kids}, mu
 
 
 def _finish(
@@ -329,203 +424,10 @@ def _finish(
     return lab
 
 
-def construct_labeling(inst: FamilyInstance, spec: GroupSpec) -> Labeling:
-    """Deterministic witness following the matching proof recipe."""
-    verdict = predict(inst, spec)
-    if not verdict.is_magic:
-        raise ContractError(
-            f"no constructive recipe: predict({inst.render()}, {spec}) is "
-            f"{verdict.outcome}"
-        )
-    g, roles = _built(inst)
-
-    if spec.order == 2:
-        one = spec.element((1,) * spec.rank)
-        return _finish(
-            inst, spec,
-            {r: one for r, v in roles.items() if g.degree(v) > 1},
-            spec.zero() if g.degree(0) % 2 == 0 else one,
-        )
-
-    fam = inst.family
-    p = inst.pendant_params
-
-    if fam == "CYCLE":
-        x = _first_nonzero(spec)
-        return _finish(inst, spec, {r: x for r in roles}, 2 * x)
-
-    if fam in _SUN_FAMILIES:
-        x = _first_nonzero(spec)
-        core = {r: x for r, v in roles.items() if g.degree(v) > 1}
-        return _finish(inst, spec, core, x)
-
-    if fam == "UD3-G2":
-        h = _first_involution(spec)
-        gg = next(e for e in spec.nonzero_elements() if e != h)
-        return _finish(
-            inst, spec, {"v1": gg, "v2": gg - h, "v3": h, "v4": h}, gg
-        )
-
-    if fam == "UD4-H1":
-        d1 = _deg(inst, "v1")
-        kids = {f"u{i + 1}" for i in range(len(inst.hub_subtrees))}
-        if p[0] == 0:
-            has_weak = any(c == 1 for c in inst.hub_subtrees)
-            gg = next(
-                e for e in spec.nonzero_elements()
-                if not ((d1 - 1) * e).is_zero()
-                and not ((d1 - 2) * e).is_zero()
-                and not ((2 * d1 - 3) * e).is_zero()
-                and not (has_weak and ((2 * d1 - 2) * e).is_zero())
-            )
-            core = {
-                "v1": (3 - 2 * d1) * gg,
-                "v2": (2 - d1) * gg,
-                "v3": (d1 - 1) * gg,
-                "v4": (d1 - 1) * gg,
-                **{k: gg for k in kids},
-            }
-            return _finish(inst, spec, core, gg)
-        pick = None
-        for h in sorted(involutions(spec), key=spec.index_of):
-            for e in spec.elements():
-                if e.is_zero() or e == h:
-                    continue
-                if p[0] >= 2 or (d1 - 2) * e != h:
-                    pick = (h, e)
-                    break
-            if pick:
-                break
-        h, gg = pick
-        core = {
-            "v1": gg, "v2": gg - h, "v3": h, "v4": h, **{k: gg for k in kids},
-        }
-        return _finish(inst, spec, core, gg)
-
-    if fam == "UD4-H2":
-        d1 = _deg(inst, "v1")
-        kids = {f"u{i + 1}" for i in range(len(inst.hub_subtrees))}
-        if p[1] == 0 and p[2] == 0:
-            gg, t = _h2_bare_pair(spec, len(inst.hub_subtrees))
-            core = {"v1": gg - t, "v2": t, "v3": t, **{k: gg for k in kids}}
-            return _finish(inst, spec, core, gg)
-        if p[0] == 0:
-            m = gcd(d1 - 1, spec.order)
-            q = min(d for d in range(2, m + 1) if m % d == 0)
-            gg = cauchy_element(spec, q)
-            h = next(e for e in spec.nonzero_elements() if e != gg)
-            core = {"v1": h, "v2": gg, "v3": gg, **{k: gg for k in kids}}
-            return _finish(inst, spec, core, gg)
-        if p[0] == 1:
-            gg = next(
-                e for e in spec.nonzero_elements()
-                if not ((d1 - 2) * e).is_zero()
-            )
-        else:
-            gg = _first_nonzero(spec)
-        core = {"v1": gg, "v2": gg, "v3": gg, **{k: gg for k in kids}}
-        return _finish(inst, spec, core, gg)
-
-    if fam == "UD4-H3":
-        d2 = _deg(inst, "v2")
-        m = gcd(d2 - 2, spec.order)
-        q = min(d for d in range(2, m + 1) if m % d == 0)
-        gg = cauchy_element(spec, q)
-        g1, g2 = decompose_sum(spec, gg, 2)
-        kids = {f"u{i + 1}" for i in range(len(inst.hub_subtrees))}
-        core = {
-            "v1": g1, "v2": g1, "v3": g2, "v4": g2, **{k: gg for k in kids},
-        }
-        return _finish(inst, spec, core, gg)
-
-    if fam == "UD4-H5":
-        d2 = _deg(inst, "v2")
-        gg, h = next(
-            (e, f)
-            for e in spec.nonzero_elements()
-            for f in spec.nonzero_elements()
-            if e != f and 2 * f == (3 - d2) * e
-        )
-        kids = {f"u{i + 1}" for i in range(len(inst.hub_subtrees))}
-        core = {
-            "v1": h, "v2": h, "v3": h, "v4": gg - h, "v5": gg - h,
-            **{k: gg for k in kids},
-        }
-        return _finish(inst, spec, core, gg)
-
-    if fam == "B3-M1":
-        y = next(
-            e for e in spec.nonzero_elements()
-            if not (2 * e).is_zero() and not (3 * e).is_zero()
-        )
-        gg = -(2 * y)
-        core = {"v1": -(3 * y), "v2": gg, "v3": gg, "v4": y, "v5": y}
-        return _finish(inst, spec, core, gg)
-
-    if fam == "B3-M2":
-        h = next(e for e in spec.nonzero_elements() if not (2 * e).is_zero())
-        gg = 2 * h
-        core = {"v1": h, "v2": gg, "v3": h, "v4": -h}
-        return _finish(inst, spec, core, gg)
-
-    if fam == "B3-M4":
-        gg, h = _m4_pair(spec)
-        core = {
-            "v1": 2 * h - gg, "v2": h, "v3": gg - h, "v4": gg - h,
-            "v5": 2 * gg - 2 * h, "v6": 2 * gg - 2 * h,
-        }
-        return _finish(inst, spec, core, gg)
-
-    if fam == "B3-M5":
-        h = next(e for e in spec.nonzero_elements() if not (2 * e).is_zero())
-        gg = 2 * h
-        core = {"v1": gg, "v2": gg, "v3": h, "v4": -h, "v5": h}
-        return _finish(inst, spec, core, gg)
-
-    if fam == "B3-M9":
-        gg, h = next(
-            (e, f)
-            for e in spec.nonzero_elements()
-            for f in spec.nonzero_elements()
-            if e != f and (4 * (e - f)).is_zero()
-        )
-        x = gg - h
-        core = {"v1": h, "v2": gg, "v3": x, "v4": x, "v5": x, "v6": x}
-        return _finish(inst, spec, core, gg)
-
-    if fam == "B3-M10":
-        h = _first_involution(spec)
-        core = {r: h for r in ("v1", "v2", "v3", "v4", "v5", "v6")}
-        return _finish(inst, spec, core, spec.zero())
-
-    if fam == "B3-M11":
-        x = _first_nonzero(spec)
-        core = {
-            "v1": x, "v4": x, "v7": x,
-            "v2": -x, "v3": -x, "v5": -x, "v6": -x,
-        }
-        return _finish(inst, spec, core, spec.zero())
-
-    if fam == "B3-M12":
-        h = _first_involution(spec)
-        g1 = next(e for e in spec.nonzero_elements() if e != h)
-        g2 = h - g1
-        gg = next(e for e in spec.nonzero_elements() if e != h)
-        core = {"v1": gg, "v2": gg + h, "v3": g1, "v4": h, "v5": g2}
-        return _finish(inst, spec, core, gg)
-
-    if fam == "B3-M14":
-        h1, h2 = _m14_pair(spec)
-        core = {
-            "v1": h1, "v5": h1, "v2": h2, "v4": h2, "v3": h2 - h1, "v6": h2,
-        }
-        return _finish(inst, spec, core, 2 * h1)
-
-    raise ContractError(f"no recipe implemented for {fam}")
-
-
 # --- group-vertex-magic classification ---------------------------------------
 
+# the refutation each family's statement cites; the Prop rows are the
+# families no group makes magic, which `_recipe` reads too
 _NO_RULES = {
     "B3-M3": ("Prop4.3", Z2),
     "B3-M6": ("Prop4.7", Z2),
@@ -571,23 +473,22 @@ def classify_group_vertex_magic(g: Graph) -> ClassifyVerdict:
     degs = set(g.degrees)
     if len(degs) == 1:
         return ClassifyVerdict("yes", "Prop2.2")
-    inst = recognize(g) if g.n <= 12 else None
+    inst = recognize(g)
+    drawn_rule = (
+        _NO_RULES.get(inst.family, ("",))[0]
+        if inst is not None and inst.variant is None else ""
+    )
     if lemma0_obstruction(g) is not None:
         # the obstruction is fatal for every group; when the shape is a
         # drawn family whose proposition says exactly that, cite it
-        if inst is not None and inst.variant is None and inst.family in (
-            "B3-M3", "B3-M6", "B3-M7", "B3-M8", "B3-M13",
-        ):
-            return ClassifyVerdict("no", _NO_RULES[inst.family][0], Z2)
+        if drawn_rule.startswith("Prop"):
+            return ClassifyVerdict("no", drawn_rule, Z2)
         return ClassifyVerdict("no", "Lemma2.3", Z2)
     if not degrees_same_parity(g):
         # the parity mismatch itself is the refutation, so Z2 is the
         # certificate group regardless of which statement gets cited
-        if inst is not None and inst.variant is None:
-            fam = inst.family
-            if fam in _NO_RULES:
-                rule, _ = _NO_RULES[fam]
-                return ClassifyVerdict("no", rule, Z2)
+        if drawn_rule:
+            return ClassifyVerdict("no", drawn_rule, Z2)
         if cycle_rank(g) == 2 and diameter(g) == 3:
             # the blanket bicyclic theorem covers undrawn position variants
             return ClassifyVerdict("no", "Thm4.15", Z2)
@@ -642,15 +543,12 @@ def _h2_refuter(inst: FamilyInstance) -> GroupSpec:
 
 
 def corollary_refuters() -> dict[str, GroupSpec]:
-    """The specific refuting group each corollary names, per family."""
+    """The specific refuting group each corollary names, per family.
+
+    UD4-H2 is left out: its corollary names a group that depends on the
+    instance (`_h2_refuter`).
+    """
     return {
-        "B3-M1": V4,
-        "B3-M2": V4,
-        "B3-M4": V4,
-        "B3-M5": V4,
-        "B3-M9": Z3,
-        "B3-M10": Z3,
-        "B3-M12": Z3,
-        "B3-M14": Z3,
-        "UD4-H1": Z2,
+        fam: refuter for fam, (rule, refuter) in _NO_RULES.items()
+        if rule.startswith("Cor") and fam != "UD4-H2"
     }

@@ -654,17 +654,13 @@ SHORT_NAMES = {
 DEF_BY_KEY: dict[tuple[str, str | None], _Def] = {
     (d.family, d.variant): d for d in _DEFS + _VARIANT_DEFS
 }
-
-FAMILY_IDS = ["CYCLE", "GENSUN"] + [d.family for d in _DEFS]
+DEF_BY_KEY_FAMILIES = {d.family for d in _DEFS}
 
 # recognition preference: drawn families first, then variants, then the
 # generic sun encoding
 _RECOGNITION_ORDER: list[tuple[str, str | None]] = (
-    [("CYCLE", None), ("FIG1-G1", None)]
-    + [(f"UD3-G{i}", None) for i in range(1, 5)]
-    + [(f"UD4-H{i}", None) for i in range(1, 10)]
-    + [(f"B3-M{i}", None) for i in range(1, 15)]
-    + [(d.family, d.variant) for d in _VARIANT_DEFS]
+    [("CYCLE", None)]
+    + [(d.family, d.variant) for d in _DEFS + _VARIANT_DEFS]
     + [("GENSUN", None)]
 )
 
@@ -736,6 +732,8 @@ def build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
         g = Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
         return g, {f"v{i + 1}": i for i in range(k)}
     if inst.family == "GENSUN":
+        if inst.variant is not None or inst.hub_subtrees:
+            raise FamilyError("GENSUN takes no variant and no hub subtrees")
         counts = inst.pendant_params
         k = len(counts)
         if k < 3:
@@ -877,16 +875,28 @@ def parse_instance(text: str) -> FamilyInstance:
         hm = re.fullmatch(r"\s*hub=\[([0-9,\s]*)\]\s*", hub_part, re.IGNORECASE)
         if not hm:
             raise FamilyError(f"cannot parse hub spec in {text!r}")
-        hub = tuple(int(x) for x in hm.group(1).split(",") if x.strip())
-    params = tuple(int(x) for x in body.split(",") if x.strip() != "")
+        hub = _ints(hm.group(1), text)
+    params = _ints(body, text)
     variant = None
     if ":" in name:
         name, _, variant = name.partition(":")
         variant = variant.lower()
     if name == "GENSUN":
-        return FamilyInstance("GENSUN", params, (), variant)
+        if variant is not None or hub:
+            raise FamilyError(
+                f"GENSUN takes no variant and no hub spec, got {text!r}"
+            )
+        return FamilyInstance("GENSUN", params)
     full = _resolve_family_name(name, len(params))
     return FamilyInstance(full, params, hub, variant)
+
+
+def _ints(body: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of body; text is the whole literal."""
+    try:
+        return tuple(int(x) for x in body.split(",") if x.strip())
+    except ValueError as exc:
+        raise FamilyError(f"bad number in {text!r}") from exc
 
 
 def _resolve_family_name(name: str, arity: int) -> str:
@@ -898,9 +908,6 @@ def _resolve_family_name(name: str, arity: int) -> str:
         if short == name and full in DEF_BY_KEY_FAMILIES:
             return full
     raise FamilyError(f"unknown family name {name!r}")
-
-
-DEF_BY_KEY_FAMILIES = {d.family for d in _DEFS}
 
 
 # --- enumeration -------------------------------------------------------------

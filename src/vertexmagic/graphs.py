@@ -247,5 +247,8 @@ def read_graph_file(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise GraphError(f"bad edge line {ln!r}") from exc
     return Graph.from_edges(n, edges)

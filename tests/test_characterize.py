@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from vertexmagic.abelian import GroupSpec, parse_group
@@ -225,3 +227,24 @@ def test_corollary_refuters_refute(catalog8):
     for fam, text in cases.items():
         g, _ = build(parse_instance(text))
         assert not exists_magic(g, table[fam]).is_witness, fam
+
+
+def test_verdicts_and_recipes_pinned(grid, catalog8):
+    """Every verdict, rule, detail and recipe labeling over the standard
+    grid and the order <= 8 catalog, hashed against a fixed digest."""
+    digest = hashlib.sha256()
+    rows = 0
+    for inst in grid:
+        for spec in catalog8:
+            v = predict(inst, spec)
+            try:
+                lab = construct_labeling(inst, spec).render()
+            except ContractError:
+                lab = "-"
+            line = f"{inst.render()} {spec} {v.outcome} {v.rule} {v.detail} {lab}\n"
+            digest.update(line.encode())
+            rows += 1
+    assert rows == 7590
+    assert digest.hexdigest() == (
+        "80d14c5d3506fc28e4626de487f87f6a331c5c93f65d0d88e1e831503d86b9ef"
+    )

@@ -1,3 +1,5 @@
+import pytest
+
 from vertexmagic.cli import main
 
 
@@ -96,3 +98,17 @@ def test_solve_beyond_group_order_bound_exits_cleanly(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "|A| = 512 exceeds the solver bound" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{graph}", "--group", "Z3"],
+    ["solve", "M11(a,0)", "--group", "Z3"],
+    ["verify", "C3", "--group", "Z3", "--labels", "v0=x,v1=1,v2=1"],
+], ids=["graph-file-edge", "instance-param", "label-element"])
+def test_malformed_number_exits_cleanly(argv, tmp_path, capsys):
+    graph = tmp_path / "bad.txt"
+    graph.write_text("3\n0 1\n1 x\n")
+    assert main([a.format(graph=graph) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1

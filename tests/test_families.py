@@ -236,6 +236,27 @@ def test_gensun_proper():
     assert prof.cycle_rank == 1
 
 
+@pytest.mark.parametrize("text", ["GENSUN:zz(1,0,0)", "GENSUN(1,0,0;hub=[2])"])
+def test_gensun_rejects_variant_and_hub_in_literal(text):
+    with pytest.raises(FamilyError, match="GENSUN takes no variant"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("inst", [
+    FamilyInstance("GENSUN", (1, 0, 0), (), "zz"),
+    FamilyInstance("GENSUN", (1, 0, 0), (2,)),
+])
+def test_gensun_build_rejects_variant_and_hub(inst):
+    with pytest.raises(FamilyError, match="GENSUN takes no variant"):
+        build(inst)
+
+
+def test_parse_rejects_malformed_numbers():
+    for text in ("M11(a,0)", "H2(1,1,1;hub=[2,2x])", "GENSUN(1,b,0)"):
+        with pytest.raises(FamilyError):
+            parse_instance(text)
+
+
 def test_variant_instances_flagged():
     inst = parse_instance("M13:mid(2)")
     assert inst.variant == "mid"

@@ -527,3 +527,18 @@ def test_oracle_shares_no_code_with_the_search():
             imported.update(alias.name for alias in node.names)
     assert imported, "no imports parsed"
     assert not imported & forbidden, imported & forbidden
+
+
+def test_no_assert_statements_in_package():
+    """Self-checks raise instead of asserting, so none vanishes under
+    `python -O`."""
+    package = pathlib.Path(oracle.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
