@@ -65,6 +65,16 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _invariant_factors(primary) -> tuple[int, ...]:
+    """The chain d_1 | d_2 | ... | d_k from (p, exponents) pairs, each
+    exponent sequence non-increasing: d_k takes every prime's largest."""
+    width = max(len(exps) for _, exps in primary)
+    return tuple(
+        prod(p ** exps[i] for p, exps in primary if i < len(exps))
+        for i in reversed(range(width))
+    )
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -109,17 +119,9 @@ class GroupSpec:
         for f in self.factors:
             for p, e in _factorint(f).items():
                 primary.setdefault(p, []).append(e)
-        width = max(len(v) for v in primary.values())
-        invariant = []
-        for i in range(width):
-            d = 1
-            for p, exps in primary.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if i < len(exps_sorted):
-                    d *= p ** exps_sorted[i]
-            invariant.append(d)
-        invariant.reverse()  # ascending divisibility chain
-        return GroupSpec(tuple(invariant))
+        return GroupSpec(_invariant_factors(
+            [(p, sorted(exps, reverse=True)) for p, exps in primary.items()]
+        ))
 
     def isomorphic_to(self, other: "GroupSpec") -> bool:
         return self.canonical().factors == other.canonical().factors
@@ -325,16 +327,7 @@ def enumerate_abelian_groups(max_order: int) -> GroupCatalog:
             [(p, part) for part in _partitions(e)] for p, e in sorted(primary.items())
         ]
         for combo in product(*partition_choices):
-            width = max(len(part) for _, part in combo)
-            invariant = []
-            for i in range(width):
-                d = 1
-                for p, part in combo:
-                    if i < len(part):
-                        d *= p ** part[i]
-                invariant.append(d)
-            invariant.reverse()
-            groups.append(GroupSpec(tuple(invariant)))
+            groups.append(GroupSpec(_invariant_factors(combo)))
     groups.sort(key=lambda s: (s.order, s.factors))
     return GroupCatalog(max_order, tuple(groups))
 

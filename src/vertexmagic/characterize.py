@@ -23,7 +23,6 @@ constant may be 0 since the bare instance has no support vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .abelian import (
@@ -81,13 +80,8 @@ class ClassifyVerdict:
 _Labels = tuple[dict[str, GroupElement], GroupElement]
 
 
-@lru_cache(maxsize=None)
-def _built(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
-    return build(inst)
-
-
 def _deg(inst: FamilyInstance, role: str) -> int:
-    g, roles = _built(inst)
+    g, roles = build(inst)
     return g.degree(roles[role])
 
 
@@ -120,7 +114,11 @@ def construct_labeling(inst: FamilyInstance, spec: GroupSpec) -> Labeling:
 def _decide(
     inst: FamilyInstance, spec: GroupSpec
 ) -> tuple[TheoremVerdict, _Labels | None]:
-    """The verdict, and the recipe's (core, mu) when it says magic."""
+    """The verdict, and the recipe's (core, mu) when it says magic.
+
+    Raises FamilyError on any instance `build` rejects.
+    """
+    build(inst)
     if inst.variant is not None:
         return TheoremVerdict(
             NOT_COVERED, "NotCovered",
@@ -151,7 +149,7 @@ def _recipe(
     nonzero = spec.nonzero_elements()
 
     if spec.order == 2:
-        g, roles = _built(inst)
+        g, roles = build(inst)
         if not degrees_same_parity(g):
             return "Z2-parity", "", None
         one = spec.element((1,) * spec.rank)
@@ -164,7 +162,7 @@ def _recipe(
         return "Prop2.2", "", ({f"v{i + 1}": x for i in range(p[0])}, 2 * x)
 
     if fam in _SUN_FAMILIES:
-        g, roles = _built(inst)
+        g, roles = build(inst)
         bunches = pendant_bunches(g)
         pendants = set().union(*bunches)
         if not all(bunches[v] for v in range(g.n) if v not in pendants):
@@ -408,7 +406,7 @@ def _finish(
     mu: GroupElement,
 ) -> Labeling:
     """Fill pendant bunches from the core labels and verify the result."""
-    g, roles = _built(inst)
+    g, roles = build(inst)
     values: list = [None] * g.n
     for r, x in core.items():
         values[roles[r]] = x

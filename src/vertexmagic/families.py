@@ -19,7 +19,7 @@ closed-form statement governs them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .canon import canonical_code
@@ -482,85 +482,56 @@ _DEFS: list[_Def] = [
     ),
 ]
 
+
+def _variant(family, variant, slots, note, symmetry="none", min_params=0):
+    """A position variant on the drawn family's base: its roles, edges,
+    diameter and rank, with slots of its own and no proof provenance."""
+    drawn = next(d for d in _DEFS if d.family == family)
+    return replace(
+        drawn, variant=variant, slots=slots, note=note, symmetry=symmetry,
+        min_params=min_params, provenance=(),
+    )
+
+
 # shapes present among enumerated graphs but matched by no proof equation:
 # recognized and documented by the audit, excluded from the prediction grid
 _VARIANT_DEFS: list[_Def] = [
-    _Def(
-        family="B3-M13", variant="mid",
-        roles=("v1", "v2", "v3", "v4", "v5"),
-        base_edges=(("v1", "v2"), ("v1", "v3"), ("v1", "v5"), ("v4", "v2"),
-                    ("v4", "v3"), ("v4", "v5")),
-        slots=("v2",),
-        diam=3, rank=2,
-        note="K2,3 with the bunch on a degree-2 vertex; no proof equation "
-             "constrains this position",
+    _variant(
+        "B3-M13", "mid", ("v2",),
+        "K2,3 with the bunch on a degree-2 vertex; no proof equation "
+        "constrains this position",
     ),
-    _Def(
-        family="B3-M13", variant="branch-mid",
-        roles=("v1", "v2", "v3", "v4", "v5"),
-        base_edges=(("v1", "v2"), ("v1", "v3"), ("v1", "v5"), ("v4", "v2"),
-                    ("v4", "v3"), ("v4", "v5")),
-        slots=("v1", "v2"),
-        diam=3, rank=2,
-        note="K2,3 with bunches on a branch and an adjacent degree-2 vertex",
+    _variant(
+        "B3-M13", "branch-mid", ("v1", "v2"),
+        "K2,3 with bunches on a branch and an adjacent degree-2 vertex",
     ),
-    _Def(
-        family="B3-M8", variant="short",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
-        base_edges=(("v1", "v4"), ("v4", "v3"), ("v1", "v5"), ("v5", "v3"),
-                    ("v1", "v2"), ("v2", "v6"), ("v6", "v3")),
-        slots=("v4",),
-        diam=3, rank=2,
-        note="theta(3,2,2) with the bunch on a length-2 inner vertex",
+    _variant(
+        "B3-M8", "short", ("v4",),
+        "theta(3,2,2) with the bunch on a length-2 inner vertex",
     ),
-    _Def(
-        family="B3-M8", variant="short-branch",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
-        base_edges=(("v1", "v4"), ("v4", "v3"), ("v1", "v5"), ("v5", "v3"),
-                    ("v1", "v2"), ("v2", "v6"), ("v6", "v3")),
-        slots=("v4", "v1"),
-        diam=3, rank=2,
-        note="theta(3,2,2) with bunches on a length-2 inner vertex and an "
-             "adjacent branch",
+    _variant(
+        "B3-M8", "short-branch", ("v4", "v1"),
+        "theta(3,2,2) with bunches on a length-2 inner vertex and an "
+        "adjacent branch",
     ),
-    _Def(
-        family="B3-M8", variant="long-pair",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
-        base_edges=(("v1", "v4"), ("v4", "v3"), ("v1", "v5"), ("v5", "v3"),
-                    ("v1", "v2"), ("v2", "v6"), ("v6", "v3")),
-        slots=("v2", "v6"),
-        diam=3, rank=2,
-        note="theta(3,2,2) with bunches on both inner vertices of the "
-             "length-3 path",
+    _variant(
+        "B3-M8", "long-pair", ("v2", "v6"),
+        "theta(3,2,2) with bunches on both inner vertices of the "
+        "length-3 path",
     ),
-    _Def(
-        family="B3-M5", variant="support-branch",
-        roles=("v1", "v2", "v3", "v4", "v5"),
-        base_edges=(("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"),
-                    ("v5", "v1"), ("v3", "v5")),
-        slots=("v1", "v5"),
-        diam=3, rank=2,
-        note="theta(3,2,1) with bunches on a length-3 inner vertex and its "
-             "adjacent branch",
+    _variant(
+        "B3-M5", "support-branch", ("v1", "v5"),
+        "theta(3,2,1) with bunches on a length-3 inner vertex and its "
+        "adjacent branch",
     ),
-    _Def(
-        family="B3-M10", variant="shared",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
-        base_edges=_path("v1", "v2", "v3", "v4") + (("v4", "v1"),)
-        + _tri("v1", "v5", "v6"),
-        slots=("v1",),
-        diam=3, rank=2,
-        note="C4-triangle amalgam with the bunch on the shared vertex",
+    _variant(
+        "B3-M10", "shared", ("v1",),
+        "C4-triangle amalgam with the bunch on the shared vertex",
     ),
-    _Def(
-        family="B3-M10", variant="shared-adj",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
-        base_edges=_path("v1", "v2", "v3", "v4") + (("v4", "v1"),)
-        + _tri("v1", "v5", "v6"),
-        slots=("v1", "v2"),
-        diam=3, rank=2,
-        note="C4-triangle amalgam with bunches on the shared vertex and a "
-             "C4 neighbor",
+    _variant(
+        "B3-M10", "shared-adj", ("v1", "v2"),
+        "C4-triangle amalgam with bunches on the shared vertex and a "
+        "C4 neighbor",
     ),
     _Def(
         family="B3-M6", variant="theta332",
@@ -610,17 +581,11 @@ _VARIANT_DEFS: list[_Def] = [
         diam=3, rank=2,
         note="theta(4,3,3), an undrawn diameter-3 base",
     ),
-    _Def(
-        family="B3-M14", variant="branch-pair",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
-        base_edges=(("v1", "v2"), ("v2", "v4"), ("v4", "v5"), ("v5", "v6"),
-                    ("v6", "v1"), ("v2", "v3"), ("v3", "v4")),
-        slots=("v2", "v4"),
-        diam=3, rank=2,
-        symmetry="sorted",
-        min_params=1,
-        note="theta(4,2,1) with bunches on both branch vertices; no proof "
-             "equation constrains this pair",
+    _variant(
+        "B3-M14", "branch-pair", ("v2", "v4"),
+        "theta(4,2,1) with bunches on both branch vertices; no proof "
+        "equation constrains this pair",
+        symmetry="sorted", min_params=1,
     ),
     _Def(
         family="B3-M7", variant="theta521",
@@ -714,17 +679,23 @@ def canonical_instance(inst: FamilyInstance) -> FamilyInstance:
     )
 
 
-# instances already found to have their family's diameter.  Records are
-# rechecked by rebuilding their instance, so build() sees the same instances
-# again and again, and the all-pairs BFS is its costliest step.  A
-# wrong-diameter instance is never kept, so it raises on every call; past
-# the cap, diameters are just checked again.
-_right_diameter: set[FamilyInstance] = set()
-_RIGHT_DIAMETER_MAX = 4096
-
-
 def build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
-    """Construct the instance; raises FamilyError on constraint violations."""
+    """Construct the instance; raises FamilyError on constraint violations.
+
+    Memoized: records are rechecked by rebuilding their instance and the
+    predictors read degrees off the built graph, so the same instances come
+    back again and again, and the all-pairs BFS of the diameter check is the
+    costliest step.  The graph is immutable and shared; the roles dict is a
+    fresh copy for each caller.
+    """
+    g, roles = _build(inst)
+    return g, dict(roles)
+
+
+# the standard grid has 759 instances and record rechecks visit them in any
+# order; lru_cache stores no exception, so a rejected instance raises again
+@lru_cache(maxsize=1024)
+def _build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
     if inst.family == "CYCLE":
         (k,) = inst.pendant_params
         if k < 3:
@@ -787,14 +758,12 @@ def build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
             roles[f"u{ui + 1}.p{j + 1}"] = nxt
             nxt += 1
     g = Graph.from_edges(nxt, edges)
-    if d.diam is not None and inst not in _right_diameter:
+    if d.diam is not None:
         got = diameter(g)
         if got != d.diam:
             raise FamilyError(
                 f"{inst.render()} has diameter {got}, the family requires {d.diam}"
             )
-        if len(_right_diameter) < _RIGHT_DIAMETER_MAX:
-            _right_diameter.add(inst)
     return g, roles
 
 

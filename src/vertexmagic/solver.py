@@ -238,10 +238,12 @@ def _closed(spec: GroupSpec, mu: int, d0: int, fixed) -> bool:
     return bool(times(d0)) or any(not times(kv) for _, kv in fixed)
 
 
-def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveOutcome:
+def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
     """Complete existence search, one candidate constant per Aut(A)-orbit."""
-    if g.n > max_n:
-        raise SolverBoundError(f"n = {g.n} exceeds the solver bound {max_n}")
+    if g.n > EXISTS_MAX_N:
+        raise SolverBoundError(
+            f"n = {g.n} exceeds the solver bound {EXISTS_MAX_N}"
+        )
     if spec.order > EXISTS_MAX_ORDER:
         raise SolverBoundError(
             f"|A| = {spec.order} exceeds the solver bound {EXISTS_MAX_ORDER}"
@@ -272,22 +274,19 @@ def exists_magic(g: Graph, spec: GroupSpec, max_n: int = EXISTS_MAX_N) -> SolveO
     return SolveOutcome("exhausted", None, None, nodes, time.perf_counter() - t0)
 
 
-def count_magic(
-    g: Graph,
-    spec: GroupSpec,
-    max_n: int = COUNT_MAX_N,
-    max_order: int = COUNT_MAX_ORDER,
-) -> int:
+def count_magic(g: Graph, spec: GroupSpec) -> int:
     """Exact number of magic labelings (tighter bounds than exists_magic).
 
     Counts at one constant per Aut(A)-orbit and weights it by the orbit's
     size.
     """
-    if g.n > max_n:
-        raise SolverBoundError(f"n = {g.n} exceeds the counting bound {max_n}")
-    if spec.order > max_order:
+    if g.n > COUNT_MAX_N:
         raise SolverBoundError(
-            f"|A| = {spec.order} exceeds the counting bound {max_order}"
+            f"n = {g.n} exceeds the counting bound {COUNT_MAX_N}"
+        )
+    if spec.order > COUNT_MAX_ORDER:
+        raise SolverBoundError(
+            f"|A| = {spec.order} exceeds the counting bound {COUNT_MAX_ORDER}"
         )
     m, add, neg = cayley_tables(spec)
     _, size = mu_orbits(spec)

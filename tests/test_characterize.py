@@ -10,7 +10,7 @@ from vertexmagic.characterize import (
     corollary_refuters,
     predict,
 )
-from vertexmagic.families import build, parse_instance
+from vertexmagic.families import FamilyError, build, parse_instance
 from vertexmagic.graphs import Graph
 from vertexmagic.labeling import verify_magic
 from vertexmagic.solver import exists_magic
@@ -57,6 +57,15 @@ def test_predict_z2_via_parity():
 def test_predict_variant_not_covered():
     v = predict(parse_instance("M13:mid(2)"), Z3)
     assert v.outcome == "not_covered"
+
+
+@pytest.mark.parametrize("text", ["G2(1)", "C2", "M11(1)"])
+def test_predict_refuses_unbuildable_instance(text):
+    inst = parse_instance(text)
+    with pytest.raises(FamilyError):
+        build(inst)
+    with pytest.raises(FamilyError):
+        predict(inst, Z3)
 
 
 def test_construct_g2_recipe_values():

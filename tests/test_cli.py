@@ -61,6 +61,15 @@ def test_predict(capsys):
     assert "magic [Prop3.2]" in out and "construction:" in out
 
 
+@pytest.mark.parametrize("instance", ["G2(1)", "C2", "M11(1)"])
+def test_predict_refuses_unbuildable_instance(capsys, instance):
+    """Wrong arity or a 2-cycle: one error line, never a verdict."""
+    assert main(["predict", instance, "--group", "Z3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify(capsys):
     assert main(["classify", "M11(0,0)"]) == 0
     assert "yes [Thm4.15]" in capsys.readouterr().out

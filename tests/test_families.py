@@ -62,14 +62,12 @@ def test_diameter_constraints_rejected():
         build(parse_instance("H2(1,1,1)"))  # hub subtree required
 
 
-@pytest.mark.parametrize("cap, computed", [(4096, 4), (0, 9)])
-def test_diameter_checked_once_per_instance(monkeypatch, cap, computed):
-    """A right diameter is checked once per instance (every time past the
-    cap); a wrong one is checked, and raises, on every build."""
+def test_diameter_checked_once_per_instance(monkeypatch):
+    """A right diameter is checked once per instance; a wrong one is
+    checked, and raises, on every build."""
     seen = []
     monkeypatch.setattr(families, "diameter", lambda g: seen.append(g) or diameter(g))
-    monkeypatch.setattr(families, "_right_diameter", set())
-    monkeypatch.setattr(families, "_RIGHT_DIAMETER_MAX", cap)
+    families._build.cache_clear()
     for _ in range(3):
         with pytest.raises(FamilyError, match="diameter 2"):
             build(parse_instance("G2(0,1)"))
@@ -77,7 +75,7 @@ def test_diameter_checked_once_per_instance(monkeypatch, cap, computed):
         assert diameter(g) == 3
         roles["mutated"] = -1  # the roles dict is the caller's own
         assert "mutated" not in build(parse_instance("G2(1,0)"))[1]
-    assert len(seen) == computed
+    assert len(seen) == 4
 
 
 def test_hub_children_need_pendants():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from vertexmagic.abelian import enumerate_abelian_groups
@@ -81,6 +84,29 @@ def test_ledger_entry_synthesis():
     witness = next(r for r in records if r.oracle == "witness")
     tampered = VerdictRecord(**{**witness.__dict__, "mu": "0"})
     assert not recheck_record(tampered)
+
+
+def test_campaign_and_audit_unchanged(campaign):
+    """The standard crosscheck and the audit report, pinned by digest.
+
+    Records must stay byte-identical apart from `nodes`, which may only
+    fall; the audit text must not change at all.
+    """
+    digest = hashlib.sha256()
+    for rec in campaign:
+        row = json.loads(rec.to_json())
+        del row["nodes"]
+        line = json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+        digest.update(line.encode())
+    assert len(campaign) == 7590
+    assert digest.hexdigest() == (
+        "975aa159f26d8db3f879acc7b49236d8231a3f800ae2154956589088b57e70f6"
+    )
+    assert sum(rec.nodes for rec in campaign) <= 11439
+    audit = hashlib.sha256(audit_families().to_text().encode()).hexdigest()
+    assert audit == (
+        "cbe68cfdc947975d540a99f5ffe5a53279088652b0a9f05cc9ce94b72242b6e5"
+    )
 
 
 def test_audit_clean():
