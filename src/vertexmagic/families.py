@@ -1079,7 +1079,9 @@ def _atlas_index(n: int) -> dict[bytes, FamilyInstance]:
     for key in _RECOGNITION_ORDER:
         for inst in _instances_of_size(key, n):
             try:
-                g, _ = build(inst)
+                # uncached: these graphs are used once, for their code, and
+                # would evict instances that are rebuilt from build's cache
+                g, _ = _build.__wrapped__(inst)
             except (FamilyError, GraphError):
                 continue
             code = canonical_code(g)

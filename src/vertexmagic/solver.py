@@ -35,8 +35,12 @@ d0 with d0 * mu = 0, and, for each core vertex v whose unit vector lies in
 the row lattice projected onto R, an integer k_v with x_v = k_v * mu.  A
 slice with d0 * mu != 0 or some k_v * mu = 0 is closed at 0 nodes; the
 other slices are searched exactly as without the presolve, so the witness,
-its mu and every record stay the same and `nodes` can only fall.  The facts
-are computed once per core system, whatever the group, and cached.
+its mu and every record stay the same and `nodes` can only fall.
+
+The core system and its facts are computed once per graph, whatever the
+group, and cached as one plan (`_plan`); the slices left open are computed
+once per group and set of facts (`_open_slices`).  A call then pays for the
+bounds, the Cayley tables, the plan lookup and the open slices' searches.
 
 Beyond the size bound (n <= EXISTS_MAX_N, |A| <= EXISTS_MAX_ORDER) it
 refuses rather than guess.
@@ -153,10 +157,6 @@ def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-# keyed on the core system, so computed once per graph whatever the group;
-# records are rechecked in any order, so the bound holds the whole standard
-# grid (759 instances, ~0.8 KB each), not just the last few graphs
-@lru_cache(maxsize=1024)
 def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(d0, ((v, k_v), ...)) read from the Hermite normal form of the core
     system [R | -1].
@@ -198,29 +198,34 @@ def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, int], ..
     return d0, tuple(fixed)
 
 
-def _core(g: Graph):
-    """(core, neigh, pend, support): the vertices the search labels, their
-    core neighbours (as core indices), the size of their pendant bunch, and
-    whether they are supports."""
+# records are rechecked in any order, so the bound holds the whole standard
+# grid (759 instances, ~0.9 KB each), not just the last few graphs
+@lru_cache(maxsize=1024)
+def _plan(g: Graph):
+    """(core, neigh, pend, support, d0, facts), computed once per graph
+    whatever the group: the vertices the search labels, their core
+    neighbours (as core indices), the size of their pendant bunch, whether
+    they are supports, and the presolve's facts on that core system
+    (`_lattice_facts`).  Tuples and ints only, so no caller can change a
+    cached plan."""
     bunches = pendant_bunches(g)
     # the core is every vertex but the pendants; the two ends of K2 support
     # each other, so for n <= 2 nothing is aggregated
     pendants = set().union(*bunches) if g.n > 2 else set()
-    core = [v for v in range(g.n) if v not in pendants]
+    core = tuple([v for v in range(g.n) if v not in pendants])
     index = {v: i for i, v in enumerate(core)}
     neigh = tuple([tuple([index[w] for w in g.adj[v] if w in index]) for v in core])
     # neighbours outside the core are the aggregated pendant bunch
     pend = tuple([g.degree(v) - len(nv) for v, nv in zip(core, neigh)])
     support = tuple([bool(bunches[v]) for v in core])
-    return core, neigh, pend, support
+    return (core, neigh, pend, support, *_lattice_facts(neigh, pend, support))
 
 
 def lattice_facts(g: Graph) -> tuple[int, dict[int, int]]:
     """The presolve's facts over g's own vertices: (d0, {v: k_v}), i.e.
     d0 * mu = 0 and x_v = k_v * mu in every magic labeling over any group,
     for the core vertices that are no supports (a support's label is mu)."""
-    core, neigh, pend, support = _core(g)
-    d0, fixed = _lattice_facts(neigh, pend, support)
+    core, _, _, _, d0, fixed = _plan(g)
     return d0, {core[v]: kv for v, kv in fixed}
 
 
@@ -238,6 +243,17 @@ def _closed(spec: GroupSpec, mu: int, d0: int, fixed) -> bool:
     return bool(times(d0)) or any(not times(kv) for _, kv in fixed)
 
 
+# keyed on the facts, not on the graph, so graphs that share them share the
+# slices; the standard grid over the catalog of order <= 16 has 1,152 keys
+@lru_cache(maxsize=4096)
+def _open_slices(spec: GroupSpec, has_supports: bool, d0: int, facts) -> tuple[int, ...]:
+    """The constants `_constants` searches that the facts do not refute."""
+    return tuple([
+        mu for mu in _constants(spec, has_supports)
+        if not _closed(spec, mu, d0, facts)
+    ])
+
+
 def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
     """Complete existence search, one candidate constant per Aut(A)-orbit."""
     if g.n > EXISTS_MAX_N:
@@ -250,12 +266,10 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
         )
     t0 = time.perf_counter()
     m, add, neg = cayley_tables(spec)
-    core, neigh, pend, support = _core(g)
-    d0, facts = _lattice_facts(neigh, pend, support)
+    core, neigh, pend, support, d0, facts = _plan(g)
     nodes = 0
-    for mu in _constants(spec, any(support)):
-        if (d0 or facts) and _closed(spec, mu, d0, facts):
-            continue  # closed by the presolve, at 0 nodes
+    # slices the presolve closes are skipped, at 0 nodes
+    for mu in _open_slices(spec, any(support), d0, facts):
         forced = [mu if s else -1 for s in support]
         labels, nd = kernels.search_exists(
             len(core), neigh, pend, forced, m, add, neg, mu

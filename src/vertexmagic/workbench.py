@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .abelian import GroupCatalog, GroupSpec, enumerate_abelian_groups, parse_group
 from .characterize import MAGIC, NOT_COVERED, predict
@@ -51,7 +51,8 @@ class VerdictRecord:
     note: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # every field is a flat value, so the instance dict needs no deep copy
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "VerdictRecord":
@@ -99,21 +100,25 @@ def crosscheck(
     """One record per (instance, group); deterministic order and content."""
     grid = standard_grid() if grid is None else grid
     catalog = standard_catalog() if catalog is None else catalog
+    names = [str(spec.canonical()) for spec in catalog]
     records = []
     for inst in grid:
         g, _ = build(inst)
-        for spec in catalog:
-            records.append(_one_record(inst, g, spec))
+        for spec, name in zip(catalog, names):
+            records.append(_one_record(inst, g, spec, name))
     return records
 
 
-def _one_record(inst: FamilyInstance, g: Graph, spec: GroupSpec) -> VerdictRecord:
+def _one_record(
+    inst: FamilyInstance, g: Graph, spec: GroupSpec, group: str
+) -> VerdictRecord:
+    """The record of one pair; `group` is the canonical name of spec."""
     verdict = predict(inst, spec)
     try:
         out = exists_magic(g, spec)
     except SolverBoundError:
         return VerdictRecord(
-            instance=inst.render(), n=g.n, group=str(spec.canonical()),
+            instance=inst.render(), n=g.n, group=group,
             theorem=verdict.outcome, rule=verdict.rule, oracle="skipped",
             witness=None, mu=None, nodes=0, agree=None,
             note="instance beyond the solver bound",
@@ -125,7 +130,7 @@ def _one_record(inst: FamilyInstance, g: Graph, spec: GroupSpec) -> VerdictRecor
     else:
         agree = (verdict.outcome == MAGIC) == out.is_witness
     return VerdictRecord(
-        instance=inst.render(), n=g.n, group=str(spec.canonical()),
+        instance=inst.render(), n=g.n, group=group,
         theorem=verdict.outcome, rule=verdict.rule, oracle=out.status,
         witness=witness, mu=mu, nodes=out.nodes, agree=agree,
         note=verdict.detail,

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import pathlib
 import random
 import tracemalloc
@@ -229,6 +230,20 @@ def test_naive_space_exactly_one_block(monkeypatch):
     assert len(list(oracle._block_counts(cycle(4), Z3))) == 1  # 2^4 == 16
 
 
+@pytest.mark.parametrize("spec", [Z3, Z4], ids=str)
+def test_naive_count_at_every_split(monkeypatch, spec):
+    """Every number k of vectorized vertices, 0..n, counts the same: edges
+    cross the low/high boundary at each k, so every weight is part low sum,
+    part high chain."""
+    chorded_c7 = Graph.from_edges(7, [*cycle(7).edges, (0, 3), (2, 5)])
+    base = spec.order - 1
+    for g in (chorded_c7, petersen()):
+        expected = count_magic(g, spec)
+        for k in range(g.n + 1):
+            monkeypatch.setattr(oracle, "_BLOCK", base ** k)
+            assert naive_count(g, spec) == expected, (g.edges, k)
+
+
 def test_naive_count_memory_is_bounded():
     """Memory follows the block, not the 4^10 candidates of Petersen over Z5
     (the unblocked enumeration traced a 184 MiB peak here)."""
@@ -359,9 +374,21 @@ def _reference_exists(g, spec):
     return None, None, nodes
 
 
+@contextlib.contextmanager
 def _without_presolve(monkeypatch):
-    """Give exists_magic no lattice facts, so only orbit pruning is left."""
-    monkeypatch.setattr(solver, "_lattice_facts", lambda *core: (0, ()))
+    """Give exists_magic no lattice facts, so only orbit pruning is left.
+
+    Plans are cached per graph, so the cache is cleared on entry, to drop the
+    plans that carry facts, and on exit, so that no fact-free plan outlives
+    the patch.
+    """
+    solver._plan.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_lattice_facts", lambda *core: (0, ()))
+        try:
+            yield
+        finally:
+            solver._plan.cache_clear()
 
 
 def _nodes_saved_against_reference(grid):
@@ -392,8 +419,8 @@ def test_orbit_pruning_keeps_every_witness(grid):
 
 def test_orbit_pruning_alone_keeps_every_witness(grid, monkeypatch):
     """Orbit pruning without the presolve, so the nodes saved are its own."""
-    _without_presolve(monkeypatch)
-    assert _nodes_saved_against_reference(grid) > 0
+    with _without_presolve(monkeypatch):
+        assert _nodes_saved_against_reference(grid) > 0
 
 
 @st.composite
@@ -421,12 +448,13 @@ def test_two_group_orbit_pruning(monkeypatch):
     g, _ = build(parse_instance("M7(0,0)"))
     spec = parse_group("Z2+Z2+Z2+Z2")
     assert _reference_exists(g, spec)[2] == 10_170
-    with monkeypatch.context() as patch:
-        _without_presolve(patch)
+    # M7(0,0) has d0 = 1, so the presolve closes that slice too; its plan is
+    # cached now, and the patch must not reuse it, nor leave its own behind
+    assert exists_magic(g, spec).nodes == 0
+    with _without_presolve(monkeypatch):
         out = exists_magic(g, spec)
     assert not out.is_witness
     assert out.nodes == 1_336
-    # M7(0,0) has d0 = 1, so the presolve closes that slice too
     assert exists_magic(g, spec).nodes == 0
 
 
@@ -510,6 +538,29 @@ def test_group_order_bound():
         exists_magic(cycle(4), parse_group(f"Z{2 * EXISTS_MAX_ORDER}"))
     with pytest.raises(SolverBoundError, match="solver bound"):
         exists_magic(cycle(4), parse_group(f"Z2+Z{EXISTS_MAX_ORDER}"))
+
+
+def test_solver_caches_are_bounded_and_plans_immutable(grid):
+    """Every cache in solver.py has a finite bound, and a plan holds tuples
+    and ints only, so no caller can change a cached plan."""
+    caches = {
+        name: obj for name, obj in vars(solver).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == solver.__name__
+    }
+    assert "_plan" in caches
+    for name, fn in caches.items():
+        assert fn.cache_info().maxsize is not None, name
+
+    def flat(x):
+        if isinstance(x, tuple):
+            return all(flat(y) for y in x)
+        return isinstance(x, int)
+
+    graphs = [build(inst)[0] for inst in grid[::25]]
+    graphs += [Graph.from_edges(1, []), Graph.from_edges(2, [(0, 1)])]
+    for g in graphs:
+        plan = solver._plan(g)
+        assert len(plan) == 6 and flat(plan), g.edges
 
 
 def test_oracle_shares_no_code_with_the_search():

@@ -50,13 +50,19 @@ def test_records_roundtrip(tmp_path, campaign):
 
 
 def test_records_byte_stable(tmp_path):
-    grid = [parse_instance("G2(1,0)"), parse_instance("M4(0,0)")]
+    """Two runs emit the same bytes, and those bytes, `nodes` included, are
+    pinned by digest."""
+    grid = [parse_instance(s)
+            for s in ("G2(1,0)", "M11(0,0)", "M3(1,0,0)", "M4(0,0)", "C5")]
     catalog = enumerate_abelian_groups(5)
     p1 = tmp_path / "a.jsonl"
     p2 = tmp_path / "b.jsonl"
     emit_records(crosscheck(grid, catalog), p1)
     emit_records(crosscheck(grid, catalog), p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert hashlib.sha256(p1.read_bytes()).hexdigest() == (
+        "8e71628821915fb691d4c65eb10b8d13e7d596fa7e28a0ac3a878e05f62b0af2"
+    )
 
 
 def test_load_rejects_corrupt_line(tmp_path, campaign):
