@@ -84,7 +84,7 @@ def _cmd_family(args) -> int:
         for entry in atlas_entries():
             slots = ",".join(entry.slots) or "-"
             hub = entry.hub_at or "-"
-            print(f"{entry.family:22s} slots={slots:14s} hub={hub:3s} "
+            print(f"{entry.name:22s} slots={slots:14s} hub={hub:3s} "
                   f"{entry.note}")
         return 0
     inst = parse_instance(args.instance)

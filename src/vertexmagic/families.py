@@ -14,6 +14,14 @@ vertices no proof equation constrains).  Those are carried as named
 *variants* of the structurally nearest family: the audit recognizes and
 documents them, but they stay out of the theorem-prediction grid because no
 closed-form statement governs them.
+
+Every shape is one `_Def` (roles, base edges, pendant slots, optional hub,
+drawing symmetry): the drawn families and variants are listed below, and the
+parametric cycle `CYCLE(k)` and generalized sun `GENSUN(c1..ck)` get theirs
+from `_cycle_def`.  `_def_of` finds the def of any instance, and the same
+def drives construction (`_construct`, the one graph constructor),
+canonicalization (`_canon_params`) and enumeration (`_instances_of_def`,
+which feeds both the recognition index and the standard grid).
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+from .abelian import _partitions
 from .canon import canonical_code
 from .graphs import Graph, GraphError, diameter, eccentricities, twin_roots
 
@@ -53,18 +62,6 @@ class FamilyInstance:
         return self.render()
 
 
-@dataclass(frozen=True)
-class AtlasEntry:
-    """Template documentation: adjacency, roles, and proof provenance."""
-
-    family: str
-    base_edges: tuple[tuple[str, str], ...]
-    slots: tuple[str, ...]
-    hub_at: str | None
-    provenance: tuple[tuple[str, tuple[str, ...]], ...]
-    note: str
-
-
 # --- template definitions ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -76,12 +73,17 @@ class _Def:
     hub_at: str | None = None         # role that takes depth-2 support children
     diam: int | None = None           # required diameter, recomputed
     rank: int = 1
-    symmetry: str = "none"            # "none" | "sorted" | "outer" (p1<->p3)
+    symmetry: str = "none"            # how drawings permute slots: _canon_params
     hub_required: bool = False
     min_params: int = 0               # lower bound on every pendant slot
     variant: str | None = None
     provenance: tuple[tuple[str, tuple[str, ...]], ...] = ()
     note: str = ""
+
+    @property
+    def name(self) -> str:
+        """`FAMILY` or `FAMILY:variant`, as the atlas and the audit list it."""
+        return self.family if self.variant is None else f"{self.family}:{self.variant}"
 
 
 def _tri(a, b, c):
@@ -621,13 +623,37 @@ DEF_BY_KEY: dict[tuple[str, str | None], _Def] = {
 }
 DEF_BY_KEY_FAMILIES = {d.family for d in _DEFS}
 
-# recognition preference: drawn families first, then variants, then the
-# generic sun encoding
-_RECOGNITION_ORDER: list[tuple[str, str | None]] = (
-    [("CYCLE", None)]
-    + [(d.family, d.variant) for d in _DEFS + _VARIANT_DEFS]
-    + [("GENSUN", None)]
-)
+def _cycle_def(family: str, k: int) -> _Def:
+    """The parametric shapes on the k-cycle v1..vk: CYCLE is the bare cycle,
+    GENSUN takes a pendant bunch on every cycle vertex.  Rotations and
+    reflections of the cycle draw the same graph."""
+    if k < 3:
+        raise FamilyError(
+            "cycles need length >= 3" if family == "CYCLE"
+            else "generalized sun needs a cycle of length >= 3"
+        )
+    roles = tuple(f"v{i + 1}" for i in range(k))
+    return _Def(
+        family=family,
+        roles=roles,
+        base_edges=tuple((roles[i], roles[(i + 1) % k]) for i in range(k)),
+        slots=roles if family == "GENSUN" else (),
+        symmetry="dihedral",
+    )
+
+
+def _def_of(inst: FamilyInstance) -> _Def:
+    """The template of any instance: a drawn family or variant, a cycle or a
+    generalized sun."""
+    if inst.family == "CYCLE":
+        (k,) = inst.pendant_params
+        return _cycle_def("CYCLE", k)
+    if inst.family == "GENSUN":
+        return _cycle_def("GENSUN", len(inst.pendant_params))
+    d = DEF_BY_KEY.get((inst.family, inst.variant))
+    if d is None:
+        raise FamilyError(f"unknown family {inst.family!r} variant {inst.variant!r}")
+    return d
 
 
 def _canon_params(d: _Def, params: tuple[int, ...]) -> tuple[int, ...]:
@@ -638,7 +664,7 @@ def _canon_params(d: _Def, params: tuple[int, ...]) -> tuple[int, ...]:
     if d.symmetry == "outer23" and len(params) == 3:
         return (params[0],) + tuple(sorted(params[1:], reverse=True))
     if d.symmetry == "dihedral":
-        return _dihedral_min(params)
+        return min(_dihedral_images(params))
     if d.symmetry == "window":
         # slots occupy a consecutive window of the cycle; placements that
         # differ by a cycle symmetry keeping all bunches inside the window
@@ -658,22 +684,11 @@ def _dihedral_images(seq: tuple[int, ...]):
             yield s[r:] + s[:r]
 
 
-def _dihedral_min(counts: tuple[int, ...]) -> tuple[int, ...]:
-    return min(_dihedral_images(counts))
-
-
 def canonical_instance(inst: FamilyInstance) -> FamilyInstance:
     """Normalize parameters under the family's drawing symmetry."""
-    if inst.family == "CYCLE":
-        return inst
-    if inst.family == "GENSUN":
-        return FamilyInstance(
-            "GENSUN", _dihedral_min(inst.pendant_params), (), inst.variant
-        )
-    d = DEF_BY_KEY[(inst.family, inst.variant)]
     return FamilyInstance(
         inst.family,
-        _canon_params(d, inst.pendant_params),
+        _canon_params(_def_of(inst), inst.pendant_params),
         tuple(sorted(inst.hub_subtrees, reverse=True)),
         inst.variant,
     )
@@ -696,43 +711,22 @@ def build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
 # order; lru_cache stores no exception, so a rejected instance raises again
 @lru_cache(maxsize=1024)
 def _build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
-    if inst.family == "CYCLE":
-        (k,) = inst.pendant_params
-        if k < 3:
-            raise FamilyError("cycles need length >= 3")
-        g = Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
-        return g, {f"v{i + 1}": i for i in range(k)}
-    if inst.family == "GENSUN":
-        if inst.variant is not None or inst.hub_subtrees:
-            raise FamilyError("GENSUN takes no variant and no hub subtrees")
-        counts = inst.pendant_params
-        k = len(counts)
-        if k < 3:
-            raise FamilyError("generalized sun needs a cycle of length >= 3")
-        if sum(counts) < 1:
-            raise FamilyError("generalized sun needs at least one pendant")
-        edges = [(i, (i + 1) % k) for i in range(k)]
-        roles = {f"v{i + 1}": i for i in range(k)}
-        nxt = k
-        for i, c in enumerate(counts):
-            for j in range(c):
-                edges.append((i, nxt))
-                roles[f"v{i + 1}.p{j + 1}"] = nxt
-                nxt += 1
-        return Graph.from_edges(nxt, edges), roles
-
-    d = DEF_BY_KEY.get((inst.family, inst.variant))
-    if d is None:
-        raise FamilyError(f"unknown family {inst.family!r} variant {inst.variant!r}")
-    if len(inst.pendant_params) != len(d.slots):
+    if inst.family == "GENSUN" and (inst.variant is not None or inst.hub_subtrees):
+        raise FamilyError("GENSUN takes no variant and no hub subtrees")
+    d = _def_of(inst)
+    # a cycle's one parameter is its length, not a pendant count
+    params = () if inst.family == "CYCLE" else inst.pendant_params
+    if len(params) != len(d.slots):
         raise FamilyError(
             f"{inst.family} takes {len(d.slots)} pendant parameters, "
-            f"got {len(inst.pendant_params)}"
+            f"got {len(params)}"
         )
-    if any(p < d.min_params for p in inst.pendant_params):
+    if any(p < d.min_params for p in params):
         raise FamilyError(
             f"{inst.family} pendant counts must be >= {d.min_params}"
         )
+    if inst.family == "GENSUN" and sum(params) < 1:
+        raise FamilyError("generalized sun needs at least one pendant")
     if inst.hub_subtrees and d.hub_at is None:
         raise FamilyError(f"{inst.family} takes no hub subtrees")
     if d.hub_required and not inst.hub_subtrees:
@@ -740,24 +734,7 @@ def _build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
     if any(c < 1 for c in inst.hub_subtrees):
         raise FamilyError("hub support children need at least one pendant each")
 
-    roles = {r: i for i, r in enumerate(d.roles)}
-    edges = [(roles[a], roles[b]) for a, b in d.base_edges]
-    nxt = len(d.roles)
-    for slot, count in zip(d.slots, inst.pendant_params):
-        for j in range(count):
-            edges.append((roles[slot], nxt))
-            roles[f"{slot}.p{j + 1}"] = nxt
-            nxt += 1
-    for ui, c in enumerate(inst.hub_subtrees):
-        child = nxt
-        roles[f"u{ui + 1}"] = child
-        edges.append((roles[d.hub_at], child))
-        nxt += 1
-        for j in range(c):
-            edges.append((child, nxt))
-            roles[f"u{ui + 1}.p{j + 1}"] = nxt
-            nxt += 1
-    g = Graph.from_edges(nxt, edges)
+    g, roles = _construct(d, params, inst.hub_subtrees)
     if d.diam is not None:
         got = diameter(g)
         if got != d.diam:
@@ -767,22 +744,41 @@ def _build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
     return g, roles
 
 
+def _construct(
+    d: _Def, params: tuple[int, ...], hub: tuple[int, ...]
+) -> tuple[Graph, dict[str, int]]:
+    """The template's base, then params[i] pendants on slot i, then one hub
+    child per hub entry with that many pendants.  Vertices are numbered in
+    that order, roles first."""
+    roles = {r: i for i, r in enumerate(d.roles)}
+    edges = [(roles[a], roles[b]) for a, b in d.base_edges]
+    nxt = len(d.roles)
+    for slot, count in zip(d.slots, params):
+        for j in range(count):
+            edges.append((roles[slot], nxt))
+            roles[f"{slot}.p{j + 1}"] = nxt
+            nxt += 1
+    for ui, c in enumerate(hub):
+        child = nxt
+        roles[f"u{ui + 1}"] = child
+        edges.append((roles[d.hub_at], child))
+        nxt += 1
+        for j in range(c):
+            edges.append((child, nxt))
+            roles[f"u{ui + 1}.p{j + 1}"] = nxt
+            nxt += 1
+    return Graph.from_edges(nxt, edges), roles
+
+
 def base_graph(family: str, variant: str | None = None) -> tuple[Graph, dict[str, int]]:
     """Bare template (no pendants, no hub) for provenance checking."""
     d = DEF_BY_KEY[(family, variant)]
-    roles = {r: i for i, r in enumerate(d.roles)}
-    edges = [(roles[a], roles[b]) for a, b in d.base_edges]
-    return Graph.from_edges(len(d.roles), edges), roles
+    return _construct(d, (0,) * len(d.slots), ())
 
 
-def atlas_entries() -> list[AtlasEntry]:
-    out = []
-    for d in _DEFS + _VARIANT_DEFS:
-        fam = d.family if d.variant is None else f"{d.family}:{d.variant}"
-        out.append(
-            AtlasEntry(fam, d.base_edges, d.slots, d.hub_at, d.provenance, d.note)
-        )
-    return out
+def atlas_entries() -> list[_Def]:
+    """Every drawn family, then every variant: the templates the atlas lists."""
+    return _DEFS + _VARIANT_DEFS
 
 
 def atlas_markdown() -> str:
@@ -801,7 +797,7 @@ def atlas_markdown() -> str:
         "",
     ]
     for e in atlas_entries():
-        lines.append(f"## {e.family}")
+        lines.append(f"## {e.name}")
         lines.append("")
         edges = ", ".join(f"{a}-{b}" for a, b in e.base_edges)
         lines.append(f"- base edges: {edges}")
@@ -893,22 +889,6 @@ def _compositions(total: int, slots: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, slots - 1):
             yield (first,) + rest
-
-
-def _partitions_min1(total: int, max_parts: int):
-    """Partitions of `total` into 1..max_parts parts, each >= 1, descending."""
-    def rec(remaining, cap, parts):
-        if remaining == 0:
-            yield tuple(parts)
-            return
-        if len(parts) == max_parts:
-            return
-        for nxt in range(min(cap, remaining), 0, -1):
-            parts.append(nxt)
-            yield from rec(remaining - nxt, nxt, parts)
-            parts.pop()
-
-    yield from rec(total, total, [])
 
 
 def _bicyclic_bases(n_max: int) -> list[Graph]:
@@ -1021,41 +1001,24 @@ def enumerate_classes(n_max: int, rank: int, diam: int) -> dict[bytes, Graph]:
 
 # --- recognition -------------------------------------------------------------
 
-def _instances_of_size(key: tuple[str, str | None], n: int):
-    family, variant = key
-    if family == "CYCLE":
-        if n >= 3:
-            yield FamilyInstance("CYCLE", (n,))
-        return
-    if family == "GENSUN":
-        for k in range(3, n):
-            total = n - k
-            if total < 1:
-                continue
-            seen = set()
-            for comp in _compositions(total, k):
-                canon = _dihedral_min(comp)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                yield FamilyInstance("GENSUN", canon)
-        return
-    d = DEF_BY_KEY[key]
-    base = len(d.roles)
-    budget = n - base
+def _instances_of_def(d: _Def, n: int):
+    """Every instance of d on n vertices, once per drawing symmetry class:
+    for each hub option (by hub size, then child count, then the children's
+    pendant counts descending), the canonical pendant counts in composition
+    order.  Instances the constructor rejects are not filtered out."""
+    budget = n - len(d.roles)
     if budget < 0:
         return
     hub_options: list[tuple[int, ...]] = [()]
     if d.hub_at is not None:
-        hub_options = []
-        for hub_total in range(2, budget + 1):
-            for k_children in range(1, hub_total // 2 + 1):
-                pend_total = hub_total - k_children
-                if pend_total < k_children:
-                    continue
-                for part in _partitions_min1(pend_total, k_children):
-                    if len(part) == k_children:
-                        hub_options.append(part)
+        # k support children carrying hub_total - k >= k pendants
+        hub_options = [
+            part
+            for hub_total in range(2, budget + 1)
+            for k in range(1, hub_total // 2 + 1)
+            for part in _partitions(hub_total - k)
+            if len(part) == k
+        ]
         if d.hub_required and not hub_options:
             return
         if not d.hub_required:
@@ -1070,22 +1033,32 @@ def _instances_of_size(key: tuple[str, str | None], n: int):
             if canon in seen:
                 continue
             seen.add(canon)
-            yield FamilyInstance(family, canon, hub, variant)
+            yield FamilyInstance(d.family, canon, hub, d.variant)
+
+
+def _atlas_instances(n: int):
+    """The atlas instances on n vertices in recognition preference: the
+    cycle, the drawn families, their variants, then the generalized suns."""
+    if n >= 3:
+        yield FamilyInstance("CYCLE", (n,))
+    for d in _DEFS + _VARIANT_DEFS:
+        yield from _instances_of_def(d, n)
+    for k in range(3, n):
+        yield from _instances_of_def(_cycle_def("GENSUN", k), n)
 
 
 @lru_cache(maxsize=None)
 def _atlas_index(n: int) -> dict[bytes, FamilyInstance]:
     index: dict[bytes, FamilyInstance] = {}
-    for key in _RECOGNITION_ORDER:
-        for inst in _instances_of_size(key, n):
-            try:
-                # uncached: these graphs are used once, for their code, and
-                # would evict instances that are rebuilt from build's cache
-                g, _ = _build.__wrapped__(inst)
-            except (FamilyError, GraphError):
-                continue
-            code = canonical_code(g)
-            index.setdefault(code, inst)
+    for inst in _atlas_instances(n):
+        try:
+            # uncached: these graphs are used once, for their code, and
+            # would evict instances that are rebuilt from build's cache
+            g, _ = _build.__wrapped__(inst)
+        except (FamilyError, GraphError):
+            continue
+        code = canonical_code(g)
+        index.setdefault(code, inst)
     return index
 
 

@@ -218,6 +218,24 @@ class _Search:
         return best_v
 
 
+def _solutions(st: _Search, first: bool) -> int:
+    """The number of completions of st's partial labeling, depth first in
+    value order.  With `first`, stop at the first completion (return 1) and
+    leave it in st.labels."""
+    v = st.pick()
+    if v < 0:
+        return 1
+    total = 0
+    for val in range(1, st.m):
+        trail: list[int] = []
+        if st.assign(v, val, trail):
+            total += _solutions(st, first)
+            if first and total:
+                return total
+        st.undo(trail)
+    return total
+
+
 def search_exists(n, neigh, pend, forced, m, add, neg, mu):
     """First magic assignment of the pendant-free core for this mu, if any.
 
@@ -226,22 +244,7 @@ def search_exists(n, neigh, pend, forced, m, add, neg, mu):
     the caller materializes them afterwards.
     """
     st = _Search(n, neigh, pend, m, add, neg, mu)
-    if not st.init_forced(forced):
-        return None, st.nodes
-
-    def dfs() -> bool:
-        v = st.pick()
-        if v < 0:
-            return True
-        for val in range(1, m):
-            trail: list[int] = []
-            if st.assign(v, val, trail):
-                if dfs():
-                    return True
-            st.undo(trail)
-        return False
-
-    if dfs():
+    if st.init_forced(forced) and _solutions(st, first=True):
         return list(st.labels), st.nodes
     return None, st.nodes
 
@@ -251,21 +254,7 @@ def search_count(n, neigh, forced, m, add, neg, mu):
 
     Returns (count, nodes).
     """
-    pend = [0] * n
-    st = _Search(n, neigh, pend, m, add, neg, mu)
+    st = _Search(n, neigh, [0] * n, m, add, neg, mu)
     if not st.init_forced(forced):
         return 0, st.nodes
-
-    def dfs() -> int:
-        v = st.pick()
-        if v < 0:
-            return 1
-        total = 0
-        for val in range(1, m):
-            trail: list[int] = []
-            if st.assign(v, val, trail):
-                total += dfs()
-            st.undo(trail)
-        return total
-
-    return dfs(), st.nodes
+    return _solutions(st, first=False), st.nodes

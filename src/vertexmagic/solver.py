@@ -232,15 +232,8 @@ def lattice_facts(g: Graph) -> tuple[int, dict[int, int]]:
 def _closed(spec: GroupSpec, mu: int, d0: int, fixed) -> bool:
     """Whether the facts refute this mu: d0 * mu != 0, or some k_v * mu = 0
     although x_v must be nonzero."""
-    residues = spec.element_at(mu).residues
-
-    def times(a: int) -> int:  # the index of a * mu
-        idx = 0
-        for r, f in zip(residues, spec.factors):
-            idx = idx * f + a * r % f
-        return idx
-
-    return bool(times(d0)) or any(not times(kv) for _, kv in fixed)
+    x = spec.element_at(mu)
+    return not (d0 * x).is_zero() or any((kv * x).is_zero() for _, kv in fixed)
 
 
 # keyed on the facts, not on the graph, so graphs that share them share the

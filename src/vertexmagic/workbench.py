@@ -10,7 +10,6 @@ two runs over identical inputs emit byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -20,8 +19,9 @@ from .families import (
     FamilyInstance,
     FamilyError,
     _DEFS,
+    _def_of,
+    _instances_of_def,
     build,
-    canonical_instance,
     enumerate_classes,
     parse_instance,
     recognize_code,
@@ -63,25 +63,19 @@ def standard_grid() -> list[FamilyInstance]:
     """Every drawn-family instance with slot counts 0..3, the standard hub
     options, and at most 13 vertices, plus the small cycles."""
     out: list[FamilyInstance] = []
-    seen = set()
     for d in _DEFS:
         hubs = GRID_HUBS if d.hub_at else ((),)
-        for hub in hubs:
-            for params in itertools.product(
-                range(GRID_MAX_PARAM + 1), repeat=len(d.slots)
-            ):
-                inst = canonical_instance(
-                    FamilyInstance(d.family, params, tuple(hub))
-                )
-                if inst in seen:
+        for n in range(len(d.roles), GRID_MAX_N + 1):
+            for inst in _instances_of_def(d, n):
+                if max(inst.pendant_params, default=0) > GRID_MAX_PARAM:
                     continue
-                seen.add(inst)
+                if inst.hub_subtrees not in hubs:
+                    continue
                 try:
-                    g, _ = build(inst)
+                    build(inst)  # rejects a wrong diameter or hub
                 except (FamilyError, GraphError):
                     continue
-                if g.n <= GRID_MAX_N:
-                    out.append(inst)
+                out.append(inst)
     for k in GRID_CYCLES:
         out.append(FamilyInstance("CYCLE", (k,)))
     out.sort(key=lambda i: (i.family, i.variant or "", i.pendant_params,
@@ -255,7 +249,7 @@ def audit_families(nmax_uni: int = 10, nmax_bi: int = 9) -> AuditReport:
                     f"rank {rank} diam {diam} n={g.n} edges={list(g.edges)}"
                 )
                 continue
-            label = inst.family + (f":{inst.variant}" if inst.variant else "")
+            label = _def_of(inst).name
             report.family_counts[label] = report.family_counts.get(label, 0) + 1
             if inst.family == "CYCLE":
                 report.cycle_entries.append(

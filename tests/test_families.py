@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -98,9 +99,9 @@ def test_provenance_neighbor_sets():
 
 def test_atlas_entries_listed():
     entries = atlas_entries()
-    ids = {e.family for e in entries}
+    ids = {e.name for e in entries}
     assert "B3-M11" in ids and "UD4-H2" in ids
-    assert any(":" in e.family for e in entries)  # variants documented
+    assert any(":" in e.name for e in entries)  # variants documented
 
 
 def test_parse_render_roundtrip():
@@ -131,6 +132,18 @@ def test_recognize_build_roundtrip_grid(grid):
         back = recognize(g)
         assert back is not None
         assert back == canonical_instance(inst), inst.render()
+
+
+def test_atlas_index_representatives_pinned():
+    """Which instance stands for each class of n <= 10 vertices: the
+    digest of every (n, canonical code, representative) of the index."""
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for code, inst in families._atlas_index(n).items():
+            digest.update(f"{n} {code.hex()} {inst.render()}\n".encode())
+    assert digest.hexdigest() == (
+        "4f6d70bfbf81e9d7a2ab45d6d62701cc7740d952c519fef53c628ab00f242b25"
+    )
 
 
 def test_recognize_examples():
@@ -232,6 +245,22 @@ def test_gensun_proper():
     g, _ = build(FamilyInstance("GENSUN", (1, 0, 2, 0, 0)))
     prof = classify_vertices(g)
     assert prof.cycle_rank == 1
+    # the cycle first, then each vertex's bunch in cycle order
+    g, roles = build(FamilyInstance("GENSUN", (1, 0, 2)))
+    assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (2, 4), (2, 5))
+    assert roles == {"v1": 0, "v2": 1, "v3": 2, "v1.p1": 3, "v3.p1": 4,
+                     "v3.p2": 5}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("C2", "cycles need length >= 3"),
+    ("GENSUN(1,0)", "generalized sun needs a cycle of length >= 3"),
+    ("GENSUN(0,0,0)", "generalized sun needs at least one pendant"),
+])
+def test_cycle_shape_errors(text, message):
+    with pytest.raises(FamilyError) as exc:
+        build(parse_instance(text))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("text", ["GENSUN:zz(1,0,0)", "GENSUN(1,0,0;hub=[2])"])

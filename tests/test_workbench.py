@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from vertexmagic import families
 from vertexmagic.abelian import enumerate_abelian_groups
 from vertexmagic.families import parse_instance
 from vertexmagic.workbench import (
@@ -13,6 +14,7 @@ from vertexmagic.workbench import (
     emit_records,
     load_records,
     recheck_record,
+    standard_grid,
 )
 
 
@@ -22,6 +24,24 @@ def test_standard_grid_contents(grid):
     assert "C8" in names
     assert "G2(1,0)" in names
     assert all(inst.variant is None for inst in grid)
+
+
+def test_standard_grid_builds_only_its_own_instances(monkeypatch):
+    """Every graph standard_grid constructs has at most 13 vertices, and
+    build's cache ends up holding its drawn-family instances alone."""
+    sizes = []
+    construct = families._construct
+
+    def recording(*args):
+        g, roles = construct(*args)
+        sizes.append(g.n)
+        return g, roles
+
+    monkeypatch.setattr(families, "_construct", recording)
+    families._build.cache_clear()
+    standard_grid()
+    assert sizes and max(sizes) <= 13
+    assert families._build.cache_info().currsize == 752
 
 
 def test_grid_is_sorted_and_unique(grid):
