@@ -133,15 +133,13 @@ class GroupSpec:
         return GroupElement(self, (0,) * len(self.factors))
 
     def element(self, residues) -> "GroupElement":
-        if isinstance(residues, int):
-            residues = (residues,)
-        residues = tuple(int(r) for r in residues)
+        residues = (residues,) if isinstance(residues, int) else tuple(residues)
         if len(residues) != len(self.factors):
             raise GroupError(
                 f"residue vector length {len(residues)} != rank {len(self.factors)}"
             )
         return GroupElement(
-            self, tuple(r % f for r, f in zip(residues, self.factors))
+            self, tuple(int(r) % f for r, f in zip(residues, self.factors))
         )
 
     def elements(self) -> tuple["GroupElement", ...]:
@@ -371,10 +369,18 @@ def automorphisms(spec: GroupSpec) -> list[dict[GroupElement, GroupElement]]:
 # --- parsing and rendering -------------------------------------------------
 
 _ALIASES = {"V4": (2, 2)}
+# distinct literals the record parsers remember; a standard ledger names a
+# few hundred instances and a few dozen groups
+PARSE_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_group(text: str) -> GroupSpec:
-    """Parse `Z4`, `Z2+Z4`, `V4` (case-insensitive) into a GroupSpec."""
+    """Parse `Z4`, `Z2+Z4`, `V4` (case-insensitive) into a GroupSpec.
+
+    Memoized: a ledger names few groups over many rows, and the result is
+    frozen.  A malformed literal is not cached, so it raises on every call.
+    """
     s = text.strip().upper().replace(" ", "")
     if not s:
         raise GroupError("empty group spec")

@@ -28,7 +28,12 @@ from .families import (
     parse_instance,
 )
 from .graphs import GraphError, classify_vertices, read_graph_file, to_dot
-from .labeling import InvalidLabelingError, parse_labeling, verify_magic
+from .labeling import (
+    InvalidLabelingError,
+    parse_labeling,
+    verify_magic,
+    weight,
+)
 from .oracle import OracleBoundError
 from .solver import SolverBoundError, count_magic, exists_magic
 from .workbench import (
@@ -113,11 +118,11 @@ def _cmd_verify(args) -> int:
     cert = verify_magic(g, lab)
     if cert is None:
         print("not magic: induced weights differ")
-        return 0
-    print(f"magic: {cert.render()}")
+    else:
+        print(f"magic: {cert.render()}")
     if args.weights:
-        for v, w in enumerate(cert.weights):
-            print(f"  w(v{v}) = {w}")
+        for v in range(g.n):
+            print(f"  w(v{v}) = {weight(g, lab, v)}")
     return 0
 
 

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .abelian import _partitions
+from .abelian import PARSE_CACHE_SIZE, _partitions
 from .canon import canonical_code
 from .graphs import Graph, GraphError, diameter, eccentricities, twin_roots
 
@@ -822,8 +822,13 @@ _INSTANCE_RE = re.compile(
 )
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_instance(text: str) -> FamilyInstance:
-    """Parse `M11(0,0)`, `H2(1,1,1;hub=[2,2])`, `G1(1,1,1)`, `C8`, ..."""
+    """Parse `M11(0,0)`, `H2(1,1,1;hub=[2,2])`, `G1(1,1,1)`, `C8`, ...
+
+    Memoized like `abelian.parse_group`: the result is frozen, and a
+    malformed literal is not cached, so it raises on every call.
+    """
     s = text.strip()
     m = re.fullmatch(r"C(YCLE)?\((\d+)\)|C(\d+)", s, re.IGNORECASE)
     if m:

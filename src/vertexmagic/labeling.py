@@ -6,6 +6,12 @@ weights coincide; the common value is the magic constant.  A zero label is
 an *invalid labeling* (codomain violation), which is a different outcome
 from a valid labeling that fails to be magic.
 
+The check sums each vertex's neighbour residues per cyclic factor on plain
+ints and reduces once modulo that factor; group elements are built only for
+the certificate it returns.  It shares no code with the Cayley tables of
+`abelian.cayley_tables`, which the search and the oracle use, so it stays an
+independent check of both.
+
 `fill_pendants` completes a partial labeling by the decomposition lemma; the
 solver and the constructive recipes both finish their witnesses with it.
 """
@@ -48,30 +54,42 @@ class MagicCertificate:
         return f"mu={self.constant}"
 
 
-def weight(g: Graph, lab: Labeling, v: int) -> GroupElement:
+def _sum_residues(factors: tuple[int, ...], rows) -> tuple[int, ...]:
+    """Residues of the sum of the residue vectors `rows`, each factor
+    summed on plain ints and reduced once."""
+    return tuple(sum(r[i] for r in rows) % f for i, f in enumerate(factors))
+
+
+def _check_length(g: Graph, lab: Labeling) -> None:
     if len(lab.values) != g.n:
         raise GraphError(
             f"labeling has {len(lab.values)} values for a graph on {g.n} vertices"
         )
-    total = lab.group.zero()
-    for u in g.adj[v]:
-        total = total + lab.values[u]
-    return total
+
+
+def weight(g: Graph, lab: Labeling, v: int) -> GroupElement:
+    _check_length(g, lab)
+    rows = [lab.values[u].residues for u in g.adj[v]]
+    return GroupElement(lab.group, _sum_residues(lab.group.factors, rows))
 
 
 def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
     """Certificate when all induced weights coincide, None otherwise."""
-    if len(lab.values) != g.n:
-        raise GraphError(
-            f"labeling has {len(lab.values)} values for a graph on {g.n} vertices"
-        )
-    for v, x in enumerate(lab.values):
-        if x.is_zero():
+    _check_length(g, lab)
+    residues = [x.residues for x in lab.values]
+    for v, r in enumerate(residues):
+        if not any(r):
             raise InvalidLabelingError(f"vertex {v} carries the zero element")
-    weights = tuple(weight(g, lab, v) for v in range(g.n))
-    if any(w != weights[0] for w in weights):
-        return None
-    return MagicCertificate(weights[0], weights)
+    factors = lab.group.factors
+    mu = None
+    for nbrs in g.adj:
+        w = _sum_residues(factors, [residues[u] for u in nbrs])
+        if mu is None:
+            mu = w
+        elif w != mu:
+            return None
+    constant = GroupElement(lab.group, mu)
+    return MagicCertificate(constant, (constant,) * g.n)
 
 
 def check_support_forcing(g: Graph, cert: MagicCertificate, lab: Labeling) -> bool:
@@ -93,10 +111,8 @@ def fill_pendants(
         todo = [p for p in bunch if values[p] is None]
         if not todo:
             continue
-        partial = spec.zero()
-        for w in g.adj[s]:
-            if values[w] is not None:
-                partial = partial + values[w]
+        rows = [values[w].residues for w in g.adj[s] if values[w] is not None]
+        partial = GroupElement(spec, _sum_residues(spec.factors, rows))
         for p, x in zip(todo, decompose_sum(spec, mu - partial, len(todo))):
             values[p] = x
 
@@ -123,7 +139,8 @@ def _split_top_level(text: str) -> list[str]:
 def parse_labeling(spec: GroupSpec, text: str, n: int) -> Labeling:
     """Parse the CLI literal `v0=1,v1=2,...` (all n vertices required)."""
     values: dict[int, GroupElement] = {}
-    for chunk in _split_top_level(text):
+    chunks = _split_top_level(text) if "(" in text else text.split(",")
+    for chunk in chunks:
         chunk = chunk.strip()
         if not chunk:
             continue

@@ -13,7 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .abelian import GroupCatalog, GroupSpec, enumerate_abelian_groups, parse_group
+from .abelian import (
+    GroupCatalog,
+    GroupError,
+    GroupSpec,
+    enumerate_abelian_groups,
+    parse_group,
+)
 from .characterize import MAGIC, NOT_COVERED, predict
 from .families import (
     FamilyInstance,
@@ -27,7 +33,7 @@ from .families import (
     recognize_code,
 )
 from .graphs import Graph, GraphError
-from .labeling import parse_labeling, verify_magic
+from .labeling import InvalidLabelingError, parse_labeling, verify_magic
 from .solver import SolverBoundError, exists_magic
 
 GRID_MAX_PARAM = 3
@@ -137,15 +143,21 @@ def discrepancies(records: list[VerdictRecord]) -> list[VerdictRecord]:
 
 
 def recheck_record(rec: VerdictRecord) -> bool:
-    """Re-establish a record's oracle outcome from its own contents."""
+    """Re-establish a record's oracle outcome from its own contents.
+
+    A witness row whose group or labeling does not parse, or whose labeling
+    is not a valid labeling over its group, fails the recheck.
+    """
     inst = parse_instance(rec.instance)
     g, _ = build(inst)
     if rec.oracle == "witness":
         if rec.witness is None:
             return False
-        spec = parse_group(rec.group)
-        lab = parse_labeling(spec, rec.witness, g.n)
-        cert = verify_magic(g, lab)
+        try:
+            spec = parse_group(rec.group)
+            cert = verify_magic(g, parse_labeling(spec, rec.witness, g.n))
+        except (GroupError, InvalidLabelingError):
+            return False
         return cert is not None and str(cert.constant) == rec.mu
     if rec.oracle == "exhausted":
         spec = parse_group(rec.group)

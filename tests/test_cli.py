@@ -41,6 +41,32 @@ def test_verify_not_magic(capsys):
     assert "not magic" in capsys.readouterr().out
 
 
+def test_verify_weights_shown_when_not_magic(capsys):
+    rc = main(["verify", "C4", "--group", "Z3",
+               "--labels", "v0=1,v1=1,v2=1,v3=2", "--weights"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "not magic: induced weights differ\n"
+        "  w(v0) = 0\n"
+        "  w(v1) = 2\n"
+        "  w(v2) = 0\n"
+        "  w(v3) = 2\n"
+    )
+
+
+def test_verify_weights_shown_when_magic(capsys):
+    rc = main(["verify", "C4", "--group", "Z2+Z2",
+               "--labels", "v0=(1,0),v1=(0,1),v2=(1,0),v3=(0,1)", "--weights"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "magic: mu=(0,0)\n"
+        "  w(v0) = (0,0)\n"
+        "  w(v1) = (0,0)\n"
+        "  w(v2) = (0,0)\n"
+        "  w(v3) = (0,0)\n"
+    )
+
+
 def test_solve_and_count(capsys):
     assert main(["solve", "M11(0,0)", "--group", "Z4"]) == 0
     assert "witness" in capsys.readouterr().out

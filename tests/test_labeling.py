@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vertexmagic.abelian import automorphisms, parse_group
 from vertexmagic.families import build, parse_instance
@@ -139,3 +140,76 @@ def test_parse_labeling_roundtrip():
         parse_labeling(Z5, "v0=1,v2=2", 3)
     with pytest.raises(InvalidLabelingError):
         parse_labeling(Z5, "nonsense", 2)
+
+
+# --- the integer check against GroupElement arithmetic ------------------------
+
+MULTI_FACTOR = tuple(parse_group(t) for t in ("Z2+Z4", "Z3+Z3", "Z2+Z2+Z2"))
+
+
+def _reference_weight(g, lab, v):
+    total = lab.group.zero()
+    for u in g.adj[v]:
+        total = total + lab.values[u]
+    return total
+
+
+def _reference_constant(g, lab):
+    """The magic constant by GroupElement.__add__, None when not magic."""
+    for v, x in enumerate(lab.values):
+        if x.is_zero():
+            raise InvalidLabelingError(f"vertex {v} carries the zero element")
+    weights = [_reference_weight(g, lab, v) for v in range(g.n)]
+    return weights[0] if len(set(weights)) == 1 else None
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 1..8 vertices plus up to six chords."""
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=6)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A graph, a multi-factor group, and either random residues (zero
+    labels included) or the solver's witness, so magic labelings occur."""
+    g = draw(connected_graphs())
+    spec = draw(st.sampled_from(MULTI_FACTOR))
+    if draw(st.booleans()):
+        out = exists_magic(g, spec)
+        if out.is_witness:
+            return g, out.labeling
+    values = tuple(
+        spec.element(draw(st.tuples(*(st.integers(0, f - 1)
+                                      for f in spec.factors))))
+        for _ in range(g.n)
+    )
+    return g, Labeling(spec, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_graphs())
+def test_integer_check_agrees_with_group_arithmetic(case):
+    g, lab = case
+    for v in range(g.n):
+        assert weight(g, lab, v) == _reference_weight(g, lab, v)
+    try:
+        want = _reference_constant(g, lab)
+    except InvalidLabelingError:
+        with pytest.raises(InvalidLabelingError):
+            verify_magic(g, lab)
+        return
+    cert = verify_magic(g, lab)
+    if want is None:
+        assert cert is None
+        return
+    assert cert is not None and cert.constant == want
+    assert len(cert.weights) == g.n
+    for v in range(g.n):
+        assert cert.weights[v] == weight(g, lab, v)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from vertexmagic import kernels, oracle
+from vertexmagic import kernels, labeling, oracle
 from vertexmagic.abelian import (
     cayley_tables,
     decompose_sum,
@@ -563,11 +563,9 @@ def test_solver_caches_are_bounded_and_plans_immutable(grid):
         assert len(plan) == 6 and flat(plan), g.edges
 
 
-def test_oracle_shares_no_code_with_the_search():
-    """oracle.py imports neither the solver, nor the kernels, nor the
-    presolve, so it stays an independent check of the search."""
-    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
-    forbidden = {"solver", "kernels", "lattice_facts"}
+def _imported_names(module) -> set[str]:
+    """Every module path part and name a module's source imports."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -576,6 +574,24 @@ def test_oracle_shares_no_code_with_the_search():
         elif isinstance(node, ast.ImportFrom):
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def test_oracle_shares_no_code_with_the_search():
+    """oracle.py imports neither the solver, nor the kernels, nor the
+    presolve, so it stays an independent check of the search."""
+    imported = _imported_names(oracle)
+    forbidden = {"solver", "kernels", "lattice_facts"}
+    assert imported, "no imports parsed"
+    assert not imported & forbidden, imported & forbidden
+
+
+def test_certificate_check_shares_no_code_with_the_search():
+    """labeling.py imports neither the solver, nor the kernels, nor the
+    presolve, nor the Cayley tables the search and the oracle add with, so
+    the certificate check stays independent of both."""
+    imported = _imported_names(labeling)
+    forbidden = {"solver", "kernels", "lattice_facts", "cayley_tables"}
     assert imported, "no imports parsed"
     assert not imported & forbidden, imported & forbidden
 

@@ -4,8 +4,8 @@ import json
 import pytest
 
 from vertexmagic import families
-from vertexmagic.abelian import enumerate_abelian_groups
-from vertexmagic.families import parse_instance
+from vertexmagic.abelian import GroupError, enumerate_abelian_groups, parse_group
+from vertexmagic.families import FamilyError, parse_instance
 from vertexmagic.workbench import (
     VerdictRecord,
     audit_families,
@@ -14,6 +14,7 @@ from vertexmagic.workbench import (
     emit_records,
     load_records,
     recheck_record,
+    standard_catalog,
     standard_grid,
 )
 
@@ -110,6 +111,48 @@ def test_ledger_entry_synthesis():
     witness = next(r for r in records if r.oracle == "witness")
     tampered = VerdictRecord(**{**witness.__dict__, "mu": "0"})
     assert not recheck_record(tampered)
+
+
+@pytest.mark.parametrize("field, tampered", [
+    ("witness", "v0=(0,0),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"),  # zero label
+    ("witness", "v0=(0,1),v1=(1,0),v2=(1,1),v3=(1,1)"),  # v4 missing
+    ("witness", "v0=(0,x),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"),  # bad number
+    ("witness", "v0=(0,1,1),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"),  # rank 3
+    ("group", "Z300"),  # the pairs need a rank-2 group
+    ("group", "Z2+Q3"),  # no such group
+])
+def test_tampered_witness_row_fails_recheck(field, tampered):
+    """A witness row whose literal does not parse or validate over its
+    group fails the recheck instead of raising."""
+    records = crosscheck([parse_instance("G2(1,0)")], enumerate_abelian_groups(4))
+    witness = next(r for r in records if r.group == "Z2+Z2")
+    assert witness.oracle == "witness"
+    assert witness.witness == "v0=(0,1),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"
+    assert recheck_record(witness)
+    assert not recheck_record(VerdictRecord(**{**vars(witness), field: tampered}))
+
+
+def test_record_parses_are_memoized():
+    """parse_instance and parse_group remember a bounded number of literals,
+    and each remembered result is the one a fresh parse gives."""
+    for parse in (parse_instance, parse_group):
+        assert isinstance(parse.cache_info().maxsize, int)
+    for inst in standard_grid():
+        text = inst.render()
+        assert parse_instance(text) == parse_instance.__wrapped__(text) == inst
+    for spec in standard_catalog(16):
+        name = str(spec)
+        assert parse_group(name) == parse_group.__wrapped__(name) == spec
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (parse_instance, "G2(x)", FamilyError),
+    (parse_group, "Z2+Q3", GroupError),
+])
+def test_malformed_literal_raises_on_every_call(parse, text, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            parse(text)
 
 
 def test_campaign_and_audit_unchanged(campaign):
