@@ -4,9 +4,13 @@
   search_exists(...)                   one mu-slice of the magic-labeling DFS
   search_count(...)                    exact solution count for one mu-slice
 
-Search-node counts are deterministic.  Labels are element indices into a
-group's lexicographic element order: index 0 is the zero element, `add` is
-the flat m*m addition table and `neg` the negation table.
+Both searches run one DFS over a pendant-free core.  Each support's pendant
+bunch enters it only through `_bunch_ways`: the search needs a nonzero
+number of ways to reach mu, and a completed core labeling counts as the
+product of those numbers.  Search-node counts are deterministic.  Labels
+are element indices into a group's lexicographic element order: index 0 is
+the zero element, `add` is the flat m*m addition table and `neg` the
+negation table.
 """
 
 from __future__ import annotations
@@ -104,14 +108,12 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     return _pack_bits(n, best)
 
 
-def _feasible_bunch(target: int, cnt: int, m: int) -> bool:
-    # cnt nonzero elements summing to `target`: over Z2 the sum is forced to
-    # cnt mod 2; for |A| >= 3 any target splits into >= 2 nonzero parts.
-    if m == 2:
-        return target == (cnt & 1)
-    if cnt >= 2:
-        return True
-    return target != 0
+def _bunch_ways(target: int, cnt: int, m: int) -> int:
+    """Ways to pick cnt nonzero elements summing to `target`, by the
+    decomposition lemma: ((m-1)^cnt - (-1)^cnt)/m, plus (-1)^cnt when the
+    target is 0.  The same for every group of order m."""
+    sign = -1 if cnt & 1 else 1
+    return ((m - 1) ** cnt - sign) // m + (sign if target == 0 else 0)
 
 
 class _Search:
@@ -139,7 +141,7 @@ class _Search:
         target = self.add[self.mu * self.m + self.neg[self.psum[v]]]
         if self.pend[v] == 0:
             return target == 0
-        return _feasible_bunch(target, self.pend[v], self.m)
+        return _bunch_ways(target, self.pend[v], self.m) > 0
 
     def assign(self, v0: int, val0: int, trail: list[int]) -> bool:
         """Set v0 := val0 and run constraint propagation; False on dead end."""
@@ -219,12 +221,17 @@ class _Search:
 
 
 def _solutions(st: _Search, first: bool) -> int:
-    """The number of completions of st's partial labeling, depth first in
-    value order.  With `first`, stop at the first completion (return 1) and
-    leave it in st.labels."""
+    """The number of completions of st's partial labeling, pendant bunches
+    included, depth first in value order.  With `first`, stop at the first
+    completed core labeling and leave it in st.labels."""
     v = st.pick()
     if v < 0:
-        return 1
+        ways = 1
+        for u, cnt in enumerate(st.pend):
+            if cnt:
+                target = st.add[st.mu * st.m + st.neg[st.psum[u]]]
+                ways *= _bunch_ways(target, cnt, st.m)
+        return ways
     total = 0
     for val in range(1, st.m):
         trail: list[int] = []
@@ -249,12 +256,12 @@ def search_exists(n, neigh, pend, forced, m, add, neg, mu):
     return None, st.nodes
 
 
-def search_count(n, neigh, forced, m, add, neg, mu):
-    """Exact number of magic labelings with this mu (no pendant aggregation).
+def search_count(n, neigh, pend, forced, m, add, neg, mu):
+    """Exact number of magic labelings with this mu, pendants included.
 
     Returns (count, nodes).
     """
-    st = _Search(n, neigh, [0] * n, m, add, neg, mu)
+    st = _Search(n, neigh, pend, m, add, neg, mu)
     if not st.init_forced(forced):
         return 0, st.nodes
     return _solutions(st, first=False), st.nodes

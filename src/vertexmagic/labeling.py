@@ -48,7 +48,6 @@ class Labeling:
 @dataclass(frozen=True)
 class MagicCertificate:
     constant: GroupElement
-    weights: tuple[GroupElement, ...]
 
     def render(self) -> str:
         return f"mu={self.constant}"
@@ -88,8 +87,7 @@ def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
             mu = w
         elif w != mu:
             return None
-    constant = GroupElement(lab.group, mu)
-    return MagicCertificate(constant, (constant,) * g.n)
+    return MagicCertificate(GroupElement(lab.group, mu))
 
 
 def check_support_forcing(g: Graph, cert: MagicCertificate, lab: Labeling) -> bool:

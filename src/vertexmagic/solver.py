@@ -1,7 +1,7 @@
-"""Existence oracle for A-vertex-magic labelings.
+"""Existence and counting oracle for A-vertex-magic labelings.
 
 Decides, by complete search, whether a graph admits a magic labeling over a
-given finite abelian group.  A Witness outcome carries a verified labeling;
+given finite abelian group, and counts its magic labelings.  A Witness outcome carries a verified labeling;
 an Exhausted outcome means the whole space (A∖{0})^V was covered for every
 candidate constant, so it is a proof for that group.
 
@@ -19,9 +19,9 @@ on one path for every graph.  It reads the pendant bunches
 that is not a pendant, for each searched constant mu: it forces every
 support vertex's label to mu, propagates "last unlabeled neighbor" forcings
 (rejecting zero), prunes any completed neighborhood whose weight misses mu,
-and aggregates each support's pendant bunch into a sum-feasibility
-constraint (nonzero decompositions exist exactly per the decomposition
-lemma).  A witness's bunches are then filled by `labeling.fill_pendants`.
+and aggregates each support's pendant bunch by the number of its nonzero
+decompositions (`kernels._bunch_ways`, the decomposition lemma counted).
+A witness's bunches are then filled by `labeling.fill_pendants`.
 K1 and K2 follow the same rule: for n <= 2 the core is every vertex, so the
 two ends of K2, each the other's support, are searched and not aggregated.
 
@@ -41,6 +41,8 @@ The core system and its facts are computed once per graph, whatever the
 group, and cached as one plan (`_plan`); the slices left open are computed
 once per group and set of facts (`_open_slices`).  A call then pays for the
 bounds, the Cayley tables, the plan lookup and the open slices' searches.
+`count_magic` searches the same plan and open slices to the end: a closed
+slice has no labeling to count.
 
 Beyond the size bound (n <= EXISTS_MAX_N, |A| <= EXISTS_MAX_ORDER) it
 refuses rather than guess.
@@ -48,13 +50,12 @@ refuses rather than guess.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
 from .abelian import GroupCatalog, GroupSpec, cayley_tables, mu_orbits
-from .graphs import Graph, degrees_same_parity, pendant_bunches, support_vertices
+from .graphs import Graph, degrees_same_parity, pendant_bunches
 from .labeling import Labeling, MagicCertificate, fill_pendants, verify_magic
 
 EXISTS_MAX_N = 13
@@ -82,7 +83,6 @@ class SolveOutcome:
     labeling: Labeling | None
     certificate: MagicCertificate | None
     nodes: int
-    elapsed: float
 
     @property
     def is_witness(self) -> bool:
@@ -107,17 +107,6 @@ def _certify(g: Graph, lab: Labeling) -> MagicCertificate:
     if cert is None:
         raise WitnessError("solver witness failed verification")
     return cert
-
-
-def _constants(spec: GroupSpec, has_supports: bool) -> list[int]:
-    """The least mu of each Aut(A)-orbit, ascending.  mu = 0 is left out
-    when the graph has a support vertex, whose label is mu and is the weight
-    of its pendant."""
-    rep, _ = mu_orbits(spec)
-    return [
-        mu for mu, r in enumerate(rep)
-        if r == mu and not (has_supports and mu == 0)
-    ]
 
 
 def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -240,10 +229,14 @@ def _closed(spec: GroupSpec, mu: int, d0: int, fixed) -> bool:
 # slices; the standard grid over the catalog of order <= 16 has 1,152 keys
 @lru_cache(maxsize=4096)
 def _open_slices(spec: GroupSpec, has_supports: bool, d0: int, facts) -> tuple[int, ...]:
-    """The constants `_constants` searches that the facts do not refute."""
+    """The least mu of each Aut(A)-orbit, ascending, that the facts do not
+    refute; mu = 0 is left out when the graph has a support vertex, whose
+    label is mu and is the weight of its pendant."""
+    rep, _ = mu_orbits(spec)
     return tuple([
-        mu for mu in _constants(spec, has_supports)
-        if not _closed(spec, mu, d0, facts)
+        mu for mu, r in enumerate(rep)
+        if r == mu and not (has_supports and mu == 0)
+        and not _closed(spec, mu, d0, facts)
     ])
 
 
@@ -257,7 +250,6 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
         raise SolverBoundError(
             f"|A| = {spec.order} exceeds the solver bound {EXISTS_MAX_ORDER}"
         )
-    t0 = time.perf_counter()
     m, add, neg = cayley_tables(spec)
     core, neigh, pend, support, d0, facts = _plan(g)
     nodes = 0
@@ -277,15 +269,15 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
         fill_pendants(g, spec, values, spec.element_at(mu))
         lab = Labeling(spec, tuple(values))
         cert = _certify(g, lab)
-        return SolveOutcome("witness", lab, cert, nodes, time.perf_counter() - t0)
-    return SolveOutcome("exhausted", None, None, nodes, time.perf_counter() - t0)
+        return SolveOutcome("witness", lab, cert, nodes)
+    return SolveOutcome("exhausted", None, None, nodes)
 
 
 def count_magic(g: Graph, spec: GroupSpec) -> int:
     """Exact number of magic labelings (tighter bounds than exists_magic).
 
-    Counts at one constant per Aut(A)-orbit and weights it by the orbit's
-    size.
+    Searches `exists_magic`'s plan and open slices to the end and weights
+    each slice's count by its orbit's size.
     """
     if g.n > COUNT_MAX_N:
         raise SolverBoundError(
@@ -297,13 +289,13 @@ def count_magic(g: Graph, spec: GroupSpec) -> int:
         )
     m, add, neg = cayley_tables(spec)
     _, size = mu_orbits(spec)
-    supports = support_vertices(g)
+    core, neigh, pend, support, d0, facts = _plan(g)
     total = 0
-    for mu in _constants(spec, bool(supports)):
-        forced = [-1] * g.n
-        for s in supports:
-            forced[s] = mu
-        cnt, _ = kernels.search_count(g.n, g.adj, forced, m, add, neg, mu)
+    for mu in _open_slices(spec, any(support), d0, facts):
+        forced = [mu if s else -1 for s in support]
+        cnt, _ = kernels.search_count(
+            len(core), neigh, pend, forced, m, add, neg, mu
+        )
         total += cnt * size[mu]
     return total
 

@@ -145,24 +145,28 @@ def discrepancies(records: list[VerdictRecord]) -> list[VerdictRecord]:
 def recheck_record(rec: VerdictRecord) -> bool:
     """Re-establish a record's oracle outcome from its own contents.
 
-    A witness row whose group or labeling does not parse, or whose labeling
-    is not a valid labeling over its group, fails the recheck.
+    Never raises on a row's contents: a row whose instance, group or
+    labeling does not parse or validate fails the recheck.  A skipped row
+    passes only if the solver really refuses its pair.
     """
-    inst = parse_instance(rec.instance)
-    g, _ = build(inst)
+    try:
+        g, _ = build(parse_instance(rec.instance))
+        spec = parse_group(rec.group)
+    except (FamilyError, GraphError, GroupError):
+        return False
     if rec.oracle == "witness":
         if rec.witness is None:
             return False
         try:
-            spec = parse_group(rec.group)
             cert = verify_magic(g, parse_labeling(spec, rec.witness, g.n))
         except (GroupError, InvalidLabelingError):
             return False
         return cert is not None and str(cert.constant) == rec.mu
-    if rec.oracle == "exhausted":
-        spec = parse_group(rec.group)
-        return not exists_magic(g, spec).is_witness
-    return rec.oracle == "skipped"
+    try:
+        out = exists_magic(g, spec)
+    except SolverBoundError:
+        return rec.oracle == "skipped"
+    return rec.oracle == "exhausted" and not out.is_witness
 
 
 def emit_records(records: list[VerdictRecord], path) -> None:

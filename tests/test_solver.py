@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import pathlib
 import random
 import tracemalloc
@@ -440,6 +441,69 @@ def test_pruned_agrees_with_naive_off_atlas(g):
     for spec in enumerate_abelian_groups(5):
         assert count_magic(g, spec) == naive_count(g, spec)
         assert exists_magic(g, spec).is_witness == naive_exists(g, spec)
+
+
+@pytest.mark.parametrize("spec", standard_catalog(8), ids=str)
+def test_bunch_ways_counts_nonzero_tuples(spec):
+    """The decomposition lemma's closed form is the number of nonzero
+    cnt-tuples summing to each target, enumerated over the group."""
+    m, add, _ = cayley_tables(spec)
+    for cnt in range(5):
+        sums = [0] * m
+        for xs in product(range(1, m), repeat=cnt):
+            total = 0
+            for x in xs:
+                total = add[total * m + x]
+            sums[total] += 1
+        assert [kernels._bunch_ways(t, cnt, m) for t in range(m)] == sums, cnt
+
+
+def test_bunch_ways_positive_by_the_feasibility_rule():
+    """A nonzero count is the lemma's feasibility rule: over Z2 the sum is
+    cnt mod 2; for |A| >= 3 any target splits into cnt >= 2 nonzero parts,
+    and one part is any nonzero target."""
+    for m in range(2, EXISTS_MAX_ORDER + 1):
+        for cnt in range(1, 12):
+            for target in (0, 1):  # only whether the target is 0 matters
+                rule = target == cnt % 2 if m == 2 else cnt >= 2 or target != 0
+                assert (kernels._bunch_ways(target, cnt, m) > 0) == rule
+
+
+def _grid_counts(grid, monkeypatch):
+    """count_magic over grid n <= 10 x catalog(5), as lines, and the nodes
+    kernels.search_count took."""
+    nodes = 0
+    search_count = kernels.search_count
+
+    def counted(*args):
+        nonlocal nodes
+        out = search_count(*args)
+        nodes += out[1]
+        return out
+
+    monkeypatch.setattr(kernels, "search_count", counted)
+    lines = []
+    for inst in grid:
+        g, _ = build(inst)
+        if g.n <= 10:
+            for spec in standard_catalog(5):
+                lines.append(f"{inst.render()} {spec.canonical()} {count_magic(g, spec)}")
+    return lines, nodes
+
+
+def test_grid_counts_pinned(grid, monkeypatch):
+    """Counting on the plan gives the counts of the unaggregated search
+    without the presolve (21,283 nodes there); the presolve closes only
+    slices that hold no labeling."""
+    lines, nodes = _grid_counts(grid, monkeypatch)
+    assert len(lines) == 2_105
+    assert nodes == 4_455
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "9b7013d24aa5d5a043c61b521bf8c1fbce0bbc2bbf44a934977eb8989072b82c"
+    )
+    with _without_presolve(monkeypatch):
+        assert _grid_counts(grid, monkeypatch)[0] == lines
 
 
 def test_two_group_orbit_pruning(monkeypatch):

@@ -8,6 +8,7 @@ from vertexmagic.abelian import GroupError, enumerate_abelian_groups, parse_grou
 from vertexmagic.families import FamilyError, parse_instance
 from vertexmagic.workbench import (
     VerdictRecord,
+    _one_record,
     audit_families,
     crosscheck,
     discrepancies,
@@ -120,6 +121,9 @@ def test_ledger_entry_synthesis():
     ("witness", "v0=(0,1,1),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"),  # rank 3
     ("group", "Z300"),  # the pairs need a rank-2 group
     ("group", "Z2+Q3"),  # no such group
+    ("instance", "G2(x)"),  # does not parse
+    ("instance", "C2"),  # parses, but no such graph
+    ("oracle", "skipped"),  # the solver does not refuse this pair
 ])
 def test_tampered_witness_row_fails_recheck(field, tampered):
     """A witness row whose literal does not parse or validate over its
@@ -130,6 +134,34 @@ def test_tampered_witness_row_fails_recheck(field, tampered):
     assert witness.witness == "v0=(0,1),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"
     assert recheck_record(witness)
     assert not recheck_record(VerdictRecord(**{**vars(witness), field: tampered}))
+
+
+@pytest.mark.parametrize("field, tampered", [
+    ("group", "Q3"),  # no such group
+    ("group", "Z300"),  # beyond the solver's order bound
+    ("instance", "G2(x)"),
+    ("instance", "C2"),
+    ("oracle", "skipped"),
+])
+def test_tampered_exhausted_row_fails_recheck(field, tampered):
+    """An exhausted row whose instance or group does not parse or build,
+    or that the solver cannot re-run, fails the recheck instead of raising;
+    so does one relabeled skipped although the solver takes its pair."""
+    records = crosscheck([parse_instance("G2(1,0)")], enumerate_abelian_groups(4))
+    exhausted = next(r for r in records if r.group == "Z2")
+    assert exhausted.oracle == "exhausted"
+    assert recheck_record(exhausted)
+    assert not recheck_record(VerdictRecord(**{**vars(exhausted), field: tampered}))
+
+
+def test_skipped_row_rechecks_by_the_solver_bound():
+    """A skipped row passes only because the solver refuses its pair."""
+    inst = parse_instance("C4")
+    g, _ = families.build(inst)
+    skipped = _one_record(inst, g, parse_group("Z512"), "Z512")
+    assert skipped.oracle == "skipped"
+    assert recheck_record(skipped)
+    assert not recheck_record(VerdictRecord(**{**vars(skipped), "oracle": "exhausted"}))
 
 
 def test_record_parses_are_memoized():
