@@ -80,11 +80,6 @@ class ClassifyVerdict:
 _Labels = tuple[dict[str, GroupElement], GroupElement]
 
 
-def _deg(inst: FamilyInstance, role: str) -> int:
-    g, roles = build(inst)
-    return g.degree(roles[role])
-
-
 _SUN_FAMILIES = {
     "FIG1-G1", "UD3-G1", "UD3-G3", "UD3-G4",
     "UD4-H4", "UD4-H6", "UD4-H7", "UD4-H8", "UD4-H9", "GENSUN",
@@ -97,34 +92,35 @@ def predict(inst: FamilyInstance, spec: GroupSpec) -> TheoremVerdict:
     Z2 is always answered by the parity criterion; variants carry no
     closed-form statement and come back NOT_COVERED.
     """
-    return _decide(inst, spec)[0]
+    return _decide(inst, spec, *build(inst))[0]
 
 
 def construct_labeling(inst: FamilyInstance, spec: GroupSpec) -> Labeling:
     """Deterministic witness following the matching proof recipe."""
-    verdict, labels = _decide(inst, spec)
+    g, roles = build(inst)
+    verdict, labels = _decide(inst, spec, g, roles)
     if labels is None:
         raise ContractError(
             f"no constructive recipe: predict({inst.render()}, {spec}) is "
             f"{verdict.outcome}"
         )
-    return _finish(inst, spec, *labels)
+    return _finish(inst, spec, g, roles, *labels)
 
 
 def _decide(
-    inst: FamilyInstance, spec: GroupSpec
+    inst: FamilyInstance, spec: GroupSpec, g: Graph, roles: dict[str, int]
 ) -> tuple[TheoremVerdict, _Labels | None]:
     """The verdict, and the recipe's (core, mu) when it says magic.
 
-    Raises FamilyError on any instance `build` rejects.
+    `g, roles` is `build(inst)`, so an instance `build` rejects has raised
+    FamilyError before any decision.
     """
-    build(inst)
     if inst.variant is not None:
         return TheoremVerdict(
             NOT_COVERED, "NotCovered",
             "position variant outside the drawn families",
         ), None
-    found = _recipe(inst, spec)
+    found = _recipe(inst, spec, g, roles)
     if found is None:
         return TheoremVerdict(
             NOT_COVERED, "NotCovered", f"no rule for {inst.family}"
@@ -136,9 +132,10 @@ def _decide(
 
 
 def _recipe(
-    inst: FamilyInstance, spec: GroupSpec
+    inst: FamilyInstance, spec: GroupSpec, g: Graph, roles: dict[str, int]
 ) -> tuple[str, str, _Labels | None] | None:
-    """(rule, detail, labels) of the statement covering a drawn instance.
+    """(rule, detail, labels) of the statement covering a drawn instance
+    built as `g, roles`.
 
     `labels` is the (core, mu) the proof writes down when the condition
     holds, and None when it fails; the core labels every non-pendant vertex
@@ -149,7 +146,6 @@ def _recipe(
     nonzero = spec.nonzero_elements()
 
     if spec.order == 2:
-        g, roles = build(inst)
         if not degrees_same_parity(g):
             return "Z2-parity", "", None
         one = spec.element((1,) * spec.rank)
@@ -162,7 +158,6 @@ def _recipe(
         return "Prop2.2", "", ({f"v{i + 1}": x for i in range(p[0])}, 2 * x)
 
     if fam in _SUN_FAMILIES:
-        g, roles = build(inst)
         bunches = pendant_bunches(g)
         pendants = set().union(*bunches)
         if not all(bunches[v] for v in range(g.n) if v not in pendants):
@@ -189,7 +184,7 @@ def _recipe(
         has_weak = any(c == 1 for c in inst.hub_subtrees)
         if p[1] != 0 or (p[0] >= 1 and has_weak):
             return rule, "", None
-        d1 = _deg(inst, "v1")
+        d1 = g.degree(roles["v1"])
         if p[0] == 0:
             gg = _first(nonzero, lambda e: not (
                 ((d1 - 1) * e).is_zero()
@@ -235,7 +230,7 @@ def _recipe(
             return "Prop3.7", detail, _with_hub(inst, core, gg)
         if p[1] == 0 or p[2] == 0:
             return "Prop3.7", "", None
-        d1 = _deg(inst, "v1")
+        d1 = g.degree(roles["v1"])
         if p[0] == 0:
             m = gcd(d1 - 1, spec.order)
             if m == 1:
@@ -255,7 +250,7 @@ def _recipe(
         return "Prop3.7", "", _with_hub(inst, core, gg)
 
     if fam == "UD4-H3":
-        m = gcd(_deg(inst, "v2") - 2, spec.order) if p == (0, 0, 0) else 1
+        m = gcd(g.degree(roles["v2"]) - 2, spec.order) if p == (0, 0, 0) else 1
         if m == 1:
             return "Prop3.9", "", None
         gg = _prime_order_element(spec, m)
@@ -266,7 +261,7 @@ def _recipe(
     if fam == "UD4-H5":
         if p != (0, 0, 0):
             return "Prop3.10", "", None
-        d2 = _deg(inst, "v2")
+        d2 = g.degree(roles["v2"])
         pair = _first_pair(
             nonzero, nonzero, lambda e, h: e != h and 2 * h == (3 - d2) * e
         )
@@ -402,11 +397,13 @@ def _with_hub(
 def _finish(
     inst: FamilyInstance,
     spec: GroupSpec,
+    g: Graph,
+    roles: dict[str, int],
     core: dict[str, GroupElement],
     mu: GroupElement,
 ) -> Labeling:
-    """Fill pendant bunches from the core labels and verify the result."""
-    g, roles = build(inst)
+    """Fill pendant bunches of the built instance `g, roles` from the core
+    labels and verify the result."""
     values: list = [None] * g.n
     for r, x in core.items():
         values[roles[r]] = x
@@ -532,7 +529,8 @@ def classify_group_vertex_magic(g: Graph) -> ClassifyVerdict:
 
 def _h2_refuter(inst: FamilyInstance) -> GroupSpec:
     """The cyclic group the strong-support corollary names for this instance."""
-    d1 = _deg(inst, "v1")
+    g, roles = build(inst)
+    d1 = g.degree(roles["v1"])
     if inst.pendant_params[0] == 0:
         return GroupSpec((d1,))
     if inst.pendant_params[0] == 1:

@@ -15,23 +15,24 @@ vertices no proof equation constrains).  Those are carried as named
 documents them, but they stay out of the theorem-prediction grid because no
 closed-form statement governs them.
 
-Every shape is one `_Def` (roles, base edges, pendant slots, optional hub,
-drawing symmetry): the drawn families and variants are listed below, and the
-parametric cycle `CYCLE(k)` and generalized sun `GENSUN(c1..ck)` get theirs
-from `_cycle_def`.  `_def_of` finds the def of any instance, and the same
-def drives construction (`_construct`, the one graph constructor),
-canonicalization (`_canon_params`) and enumeration (`_instances_of_def`,
-which feeds both the recognition index and the standard grid).
+Every shape is one `_Def` (base edges, pendant slots, optional hub, drawing
+symmetry; its roles and its class's diameter are derived): the drawn families
+and variants are listed below, and the parametric cycle `CYCLE(k)` and
+generalized sun `GENSUN(c1..ck)` get theirs from `_cycle_def`.  `_def_of`
+finds the def of any instance, and the same def drives construction
+(`_construct`, the one graph constructor), canonicalization (`_canon_params`)
+and enumeration (`_instances_of_def`, which feeds both the recognition index
+and the standard grid).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .abelian import PARSE_CACHE_SIZE, _partitions
-from .canon import canonical_code
+from .canon import CANON_MAX_N, canonical_code
 from .graphs import Graph, GraphError, diameter, eccentricities, twin_roots
 
 
@@ -64,21 +65,40 @@ class FamilyInstance:
 
 # --- template definitions ---------------------------------------------------
 
+# the paper's diameter classes, keyed by the family name's prefix
+_CLASS_DIAMETER = {"FIG1": 2, "UD3": 3, "UD4": 4, "B3": 3}
+
+
 @dataclass(frozen=True)
 class _Def:
     family: str
-    roles: tuple[str, ...]
     base_edges: tuple[tuple[str, str], ...]
     slots: tuple[str, ...]            # roles that take pendant bunches
-    hub_at: str | None = None         # role that takes depth-2 support children
-    diam: int | None = None           # required diameter, recomputed
-    rank: int = 1
+    hub_at: str | None = None         # role needing depth-2 support children
     symmetry: str = "none"            # how drawings permute slots: _canon_params
-    hub_required: bool = False
     min_params: int = 0               # lower bound on every pendant slot
     variant: str | None = None
     provenance: tuple[tuple[str, tuple[str, ...]], ...] = ()
     note: str = ""
+    # derived: the base edges' vertices v1..vk, and the family class's
+    # diameter (None for CYCLE and GENSUN), checked on every build
+    roles: tuple[str, ...] = field(init=False)
+    diam: int | None = field(init=False)
+
+    def __post_init__(self):
+        used = {v for edge in self.base_edges for v in edge}
+        roles = tuple(f"v{i + 1}" for i in range(len(used)))
+        if used != set(roles):
+            raise FamilyError(f"{self.name}: base edges are not on v1..vk")
+        named = {*self.slots, self.hub_at} - {None}
+        for role, neighbors in self.provenance:
+            named.update((role, *neighbors))
+        if not named <= used:
+            raise FamilyError(f"{self.name}: non-roles {sorted(named - used)}")
+        object.__setattr__(self, "roles", roles)
+        object.__setattr__(
+            self, "diam", _CLASS_DIAMETER.get(self.family.split("-", 1)[0])
+        )
 
     @property
     def name(self) -> str:
@@ -97,28 +117,22 @@ def _path(*vs):
 _DEFS: list[_Def] = [
     _Def(
         family="FIG1-G1",
-        roles=("v1", "v2", "v3"),
         base_edges=_tri("v1", "v2", "v3"),
         slots=("v1",),
-        diam=2,
         note="triangle with one pendant bunch; the diameter-2 unicyclic class "
              "besides C4 and C5",
     ),
     _Def(
         family="UD3-G1",
-        roles=("v1", "v2", "v3"),
         base_edges=_tri("v1", "v2", "v3"),
         slots=("v1", "v2", "v3"),
-        diam=3,
         symmetry="sorted",
         note="triangle sun; diameter 3 needs two bunches",
     ),
     _Def(
         family="UD3-G2",
-        roles=("v1", "v2", "v3", "v4"),
         base_edges=_tri("v2", "v3", "v4") + (("v1", "v2"),),
         slots=("v1", "v2"),
-        diam=3,
         provenance=(
             ("v2", ("v1", "v3", "v4")),
             ("v3", ("v2", "v4")),
@@ -128,30 +142,23 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="UD3-G3",
-        roles=("v1", "v2", "v3", "v4"),
         base_edges=_path("v1", "v2", "v3", "v4") + (("v4", "v1"),),
         slots=("v1", "v2"),
-        diam=3,
         symmetry="sorted",
         note="C4 with bunches on adjacent vertices",
     ),
     _Def(
         family="UD3-G4",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=_path("v1", "v2", "v3", "v4", "v5") + (("v5", "v1"),),
         slots=("v1", "v2"),
-        diam=3,
         symmetry="sorted",
         note="C5 with bunches on adjacent vertices",
     ),
     _Def(
         family="UD4-H1",
-        roles=("v1", "v2", "v3", "v4"),
         base_edges=_tri("v2", "v3", "v4") + (("v1", "v2"),),
         slots=("v1", "v2"),
         hub_at="v1",
-        hub_required=True,
-        diam=4,
         provenance=(
             ("v2", ("v1", "v3", "v4")),
             ("v3", ("v2", "v4")),
@@ -161,12 +168,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="UD4-H2",
-        roles=("v1", "v2", "v3"),
         base_edges=_tri("v1", "v2", "v3"),
         slots=("v1", "v2", "v3"),
         hub_at="v1",
-        hub_required=True,
-        diam=4,
         symmetry="outer23",
         provenance=(
             ("v2", ("v1", "v3")),
@@ -176,12 +180,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="UD4-H3",
-        roles=("v1", "v2", "v3", "v4"),
         base_edges=_path("v1", "v2", "v3", "v4") + (("v4", "v1"),),
         slots=("v1", "v2", "v3"),
         hub_at="v2",
-        hub_required=True,
-        diam=4,
         symmetry="outer",
         provenance=(
             ("v4", ("v1", "v3")),
@@ -192,10 +193,8 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="UD4-H4",
-        roles=("v1", "v2", "v3", "v4"),
         base_edges=_path("v1", "v2", "v3", "v4") + (("v4", "v1"),),
         slots=("v1", "v2", "v3", "v4"),
-        diam=4,
         symmetry="dihedral",
         min_params=1,
         note="C4 sun with every cycle vertex a support; the statement names "
@@ -203,12 +202,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="UD4-H5",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=_path("v1", "v2", "v3", "v4", "v5") + (("v5", "v1"),),
         slots=("v1", "v2", "v3"),
         hub_at="v2",
-        hub_required=True,
-        diam=4,
         symmetry="outer",
         provenance=(
             ("v5", ("v1", "v4")),
@@ -220,51 +216,40 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="UD4-H6",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=_path("v1", "v2", "v3", "v4", "v5") + (("v5", "v1"),),
         slots=("v1", "v2", "v3", "v4", "v5"),
-        diam=4,
         symmetry="dihedral",
         min_params=1,
         note="C5 sun with every cycle vertex a support",
     ),
     _Def(
         family="UD4-H7",
-        roles=("v1", "v2", "v3", "v4"),
         base_edges=_path("v1", "v2", "v3", "v4") + (("v4", "v1"),),
         slots=("v1", "v2", "v3"),
-        diam=4,
         symmetry="outer",
         note="C4 sun with bare vertex v4; covers the opposite-pair and "
              "three-bunch shapes",
     ),
     _Def(
         family="UD4-H8",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=_path("v1", "v2", "v3", "v4", "v5") + (("v5", "v1"),),
         slots=("v1", "v2", "v3"),
-        diam=4,
         symmetry="outer",
         note="C5 sun with bunches on three consecutive vertices (middle "
              "optional), covering the distance-2 pair",
     ),
     _Def(
         family="UD4-H9",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
         base_edges=_path("v1", "v2", "v3", "v4", "v5", "v6") + (("v6", "v1"),),
         slots=("v1", "v2", "v3"),
-        diam=4,
         symmetry="window",
         note="C6 sun with bunches on up to three consecutive vertices",
     ),
     # --- bicyclic, diameter 3 ---
     _Def(
         family="B3-M1",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=_tri("v1", "v2", "v3") + _tri("v1", "v4", "v5"),
         slots=("v1", "v2", "v3"),
-        diam=3,
-        rank=2,
         symmetry="outer23",
         provenance=(
             ("v4", ("v1", "v5")),
@@ -276,12 +261,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M2",
-        roles=("v1", "v2", "v3", "v4"),
         base_edges=(("v1", "v2"), ("v1", "v3"), ("v1", "v4"), ("v2", "v3"),
                     ("v3", "v4")),
         slots=("v1", "v2", "v3"),
-        diam=3,
-        rank=2,
         symmetry="outer",
         provenance=(
             ("v4", ("v1", "v3")),
@@ -293,12 +275,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M3",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=(("v1", "v2"), ("v2", "v3"), ("v3", "v1"), ("v3", "v4"),
                     ("v4", "v5"), ("v5", "v1")),
         slots=("v1", "v2", "v3"),
-        diam=3,
-        rank=2,
         symmetry="outer",
         provenance=(
             ("v5", ("v1", "v4")),
@@ -308,12 +287,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M4",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
         base_edges=_tri("v2", "v3", "v4") + _tri("v1", "v5", "v6")
         + (("v1", "v2"),),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         symmetry="sorted",
         provenance=(
             ("v5", ("v1", "v6")),
@@ -327,12 +303,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M5",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=(("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"),
                     ("v5", "v1"), ("v3", "v5")),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         symmetry="sorted",
         provenance=(
             ("v1", ("v2", "v5")),
@@ -343,12 +316,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M6",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
         base_edges=(("v1", "v2"), ("v1", "v4"), ("v4", "v3"), ("v3", "v2"),
                     ("v1", "v5"), ("v5", "v6"), ("v6", "v2")),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         symmetry="sorted",
         provenance=(
             ("v4", ("v1", "v3")),
@@ -359,12 +329,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M7",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
         base_edges=(("v1", "v2"), ("v1", "v3"), ("v3", "v4"), ("v4", "v5"),
                     ("v5", "v2"), ("v1", "v6"), ("v6", "v7"), ("v7", "v2")),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         symmetry="sorted",
         provenance=(
             ("v6", ("v1", "v7")),
@@ -375,12 +342,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M8",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
         base_edges=(("v1", "v4"), ("v4", "v3"), ("v1", "v5"), ("v5", "v3"),
                     ("v1", "v2"), ("v2", "v6"), ("v6", "v3")),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         provenance=(
             ("v4", ("v1", "v3")),
             ("v6", ("v2", "v3")),
@@ -390,12 +354,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M9",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
         base_edges=_tri("v1", "v3", "v4") + _tri("v1", "v5", "v6")
         + (("v1", "v2"),),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         provenance=(
             ("v5", ("v1", "v6")),
             ("v1", ("v2", "v3", "v4", "v5", "v6")),
@@ -404,12 +365,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M10",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
         base_edges=_path("v1", "v2", "v3", "v4") + (("v4", "v1"),)
         + _tri("v1", "v5", "v6"),
         slots=("v2", "v4"),
-        diam=3,
-        rank=2,
         symmetry="sorted",
         provenance=(
             ("v5", ("v1", "v6")),
@@ -420,12 +378,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M11",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
         base_edges=_tri("v1", "v2", "v3")
         + _path("v1", "v7", "v6", "v5", "v4") + (("v4", "v1"),),
         slots=("v1", "v4"),
-        diam=3,
-        rank=2,
         provenance=(
             ("v7", ("v1", "v6")),
             ("v6", ("v5", "v7")),
@@ -435,12 +390,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M12",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=(("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v2"),
                     ("v2", "v4"), ("v1", "v2")),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         provenance=(
             ("v5", ("v2", "v4")),
             ("v4", ("v2", "v3", "v5")),
@@ -450,12 +402,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M13",
-        roles=("v1", "v2", "v3", "v4", "v5"),
         base_edges=(("v1", "v2"), ("v1", "v3"), ("v1", "v5"), ("v4", "v2"),
                     ("v4", "v3"), ("v4", "v5")),
         slots=("v1", "v4"),
-        diam=3,
-        rank=2,
         symmetry="sorted",
         provenance=(
             ("v5", ("v1", "v4")),
@@ -467,12 +416,9 @@ _DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M14",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6"),
         base_edges=(("v1", "v2"), ("v2", "v4"), ("v4", "v5"), ("v5", "v6"),
                     ("v6", "v1"), ("v2", "v3"), ("v3", "v4")),
         slots=("v1", "v2"),
-        diam=3,
-        rank=2,
         provenance=(
             ("v6", ("v1", "v5")),
             ("v1", ("v2", "v6")),
@@ -486,8 +432,8 @@ _DEFS: list[_Def] = [
 
 
 def _variant(family, variant, slots, note, symmetry="none", min_params=0):
-    """A position variant on the drawn family's base: its roles, edges,
-    diameter and rank, with slots of its own and no proof provenance."""
+    """A position variant on the drawn family's base edges (and so its roles
+    and diameter), with slots of its own and no proof provenance."""
     drawn = next(d for d in _DEFS if d.family == family)
     return replace(
         drawn, variant=variant, slots=slots, note=note, symmetry=symmetry,
@@ -537,50 +483,40 @@ _VARIANT_DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M6", variant="theta332",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
         base_edges=(("v1", "v3"), ("v3", "v4"), ("v4", "v2"), ("v1", "v5"),
                     ("v5", "v6"), ("v6", "v2"), ("v1", "v7"), ("v7", "v2")),
         slots=("v1", "v7"),
-        diam=3, rank=2,
         note="theta(3,3,2), an undrawn diameter-3 base",
     ),
     _Def(
         family="B3-M6", variant="theta333",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"),
         base_edges=(("v1", "v3"), ("v3", "v4"), ("v4", "v2"), ("v1", "v5"),
                     ("v5", "v6"), ("v6", "v2"), ("v1", "v7"), ("v7", "v8"),
                     ("v8", "v2")),
         slots=("v1",),
-        diam=3, rank=2,
         note="theta(3,3,3), an undrawn diameter-3 base",
     ),
     _Def(
         family="B3-M6", variant="theta422",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
         base_edges=(("v1", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v2"),
                     ("v1", "v6"), ("v6", "v2"), ("v1", "v7"), ("v7", "v2")),
         slots=(),
-        diam=3, rank=2,
         note="theta(4,2,2), an undrawn diameter-3 base",
     ),
     _Def(
         family="B3-M6", variant="theta432",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"),
         base_edges=(("v1", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v2"),
                     ("v1", "v6"), ("v6", "v7"), ("v7", "v2"), ("v1", "v8"),
                     ("v8", "v2")),
         slots=(),
-        diam=3, rank=2,
         note="theta(4,3,2), an undrawn diameter-3 base",
     ),
     _Def(
         family="B3-M6", variant="theta433",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"),
         base_edges=(("v1", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v2"),
                     ("v1", "v6"), ("v6", "v7"), ("v7", "v2"), ("v1", "v8"),
                     ("v8", "v9"), ("v9", "v2")),
         slots=(),
-        diam=3, rank=2,
         note="theta(4,3,3), an undrawn diameter-3 base",
     ),
     _variant(
@@ -591,37 +527,26 @@ _VARIANT_DEFS: list[_Def] = [
     ),
     _Def(
         family="B3-M7", variant="theta521",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7"),
         base_edges=(("v1", "v2"), ("v1", "v3"), ("v3", "v4"), ("v4", "v5"),
                     ("v5", "v6"), ("v6", "v2"), ("v1", "v7"), ("v7", "v2")),
         slots=(),
-        diam=3, rank=2,
         note="theta(5,2,1), an undrawn diameter-3 base",
     ),
     _Def(
         family="B3-M7", variant="theta522",
-        roles=("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"),
         base_edges=(("v1", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v6"),
                     ("v6", "v2"), ("v1", "v7"), ("v7", "v2"), ("v1", "v8"),
                     ("v8", "v2")),
         slots=(),
-        diam=3, rank=2,
         note="theta(5,2,2), an undrawn diameter-3 base",
     ),
 ]
 
-SHORT_NAMES = {
-    "FIG1-G1": "G1", "UD3-G1": "G1", "UD3-G2": "G2", "UD3-G3": "G3",
-    "UD3-G4": "G4",
-    **{f"UD4-H{i}": f"H{i}" for i in range(1, 10)},
-    **{f"B3-M{i}": f"M{i}" for i in range(1, 15)},
-    "CYCLE": "C", "GENSUN": "GENSUN",
-}
+SHORT_NAMES = {d.family: d.family.rsplit("-", 1)[-1] for d in _DEFS}
 
 DEF_BY_KEY: dict[tuple[str, str | None], _Def] = {
     (d.family, d.variant): d for d in _DEFS + _VARIANT_DEFS
 }
-DEF_BY_KEY_FAMILIES = {d.family for d in _DEFS}
 
 def _cycle_def(family: str, k: int) -> _Def:
     """The parametric shapes on the k-cycle v1..vk: CYCLE is the bare cycle,
@@ -635,7 +560,6 @@ def _cycle_def(family: str, k: int) -> _Def:
     roles = tuple(f"v{i + 1}" for i in range(k))
     return _Def(
         family=family,
-        roles=roles,
         base_edges=tuple((roles[i], roles[(i + 1) % k]) for i in range(k)),
         slots=roles if family == "GENSUN" else (),
         symmetry="dihedral",
@@ -729,7 +653,7 @@ def _build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
         raise FamilyError("generalized sun needs at least one pendant")
     if inst.hub_subtrees and d.hub_at is None:
         raise FamilyError(f"{inst.family} takes no hub subtrees")
-    if d.hub_required and not inst.hub_subtrees:
+    if d.hub_at is not None and not inst.hub_subtrees:
         raise FamilyError(f"{inst.family} needs at least one hub subtree")
     if any(c < 1 for c in inst.hub_subtrees):
         raise FamilyError("hub support children need at least one pendant each")
@@ -870,12 +794,12 @@ def _ints(body: str, text: str) -> tuple[int, ...]:
 
 
 def _resolve_family_name(name: str, arity: int) -> str:
-    if name in DEF_BY_KEY_FAMILIES:
+    if name in SHORT_NAMES:
         return name
     if name == "G1":
         return "FIG1-G1" if arity == 1 else "UD3-G1"
     for full, short in SHORT_NAMES.items():
-        if short == name and full in DEF_BY_KEY_FAMILIES:
+        if short == name:
             return full
     raise FamilyError(f"unknown family name {name!r}")
 
@@ -1024,10 +948,6 @@ def _instances_of_def(d: _Def, n: int):
             for part in _partitions(hub_total - k)
             if len(part) == k
         ]
-        if d.hub_required and not hub_options:
-            return
-        if not d.hub_required:
-            hub_options.append(())
     for hub in hub_options:
         rest = budget - (len(hub) + sum(hub))
         if rest < 0:
@@ -1069,7 +989,7 @@ def _atlas_index(n: int) -> dict[bytes, FamilyInstance]:
 
 def recognize(g: Graph) -> FamilyInstance | None:
     """The atlas instance isomorphic to g, preferring drawn families."""
-    if g.n > 12:
+    if g.n > CANON_MAX_N:
         return None
     return recognize_code(g.n, canonical_code(g))
 

@@ -20,7 +20,7 @@ from .abelian import (
     enumerate_abelian_groups,
     parse_group,
 )
-from .characterize import MAGIC, NOT_COVERED, predict
+from .characterize import MAGIC, NOT_COVERED, NOT_MAGIC, predict
 from .families import (
     FamilyInstance,
     FamilyError,
@@ -40,6 +40,7 @@ GRID_MAX_PARAM = 3
 GRID_HUBS = ((1,), (2,), (1, 1), (2, 2))
 GRID_MAX_N = 13
 GRID_CYCLES = range(3, 10)
+_THEOREMS = frozenset((MAGIC, NOT_MAGIC, NOT_COVERED))
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,19 @@ def _one_record(
         )
     witness = out.labeling.render() if out.labeling is not None else None
     mu = str(out.certificate.constant) if out.certificate is not None else None
-    if verdict.outcome == NOT_COVERED:
-        agree = None
-    else:
-        agree = (verdict.outcome == MAGIC) == out.is_witness
     return VerdictRecord(
         instance=inst.render(), n=g.n, group=group,
         theorem=verdict.outcome, rule=verdict.rule, oracle=out.status,
-        witness=witness, mu=mu, nodes=out.nodes, agree=agree,
-        note=verdict.detail,
+        witness=witness, mu=mu, nodes=out.nodes,
+        agree=_agreement(verdict.outcome, out.status), note=verdict.detail,
     )
+
+
+def _agreement(theorem: str, oracle: str) -> bool | None:
+    """A row's `agree`: None when the theorem or the oracle has no answer."""
+    if theorem == NOT_COVERED or oracle == "skipped":
+        return None
+    return (theorem == MAGIC) == (oracle == "witness")
 
 
 def discrepancies(records: list[VerdictRecord]) -> list[VerdictRecord]:
@@ -147,12 +151,19 @@ def recheck_record(rec: VerdictRecord) -> bool:
 
     Never raises on a row's contents: a row whose instance, group or
     labeling does not parse or validate fails the recheck.  A skipped row
-    passes only if the solver really refuses its pair.
+    passes only if the solver really refuses its pair.  The row's other
+    fields must fit that outcome (`_fields_fit`), and `n` must be the built
+    instance's order.  `rule` and `note` are not checked: that would take a
+    `predict` call per row.
     """
+    if not _fields_fit(rec):
+        return False
     try:
         g, _ = build(parse_instance(rec.instance))
         spec = parse_group(rec.group)
     except (FamilyError, GraphError, GroupError):
+        return False
+    if rec.n != g.n:
         return False
     if rec.oracle == "witness":
         if rec.witness is None:
@@ -167,6 +178,21 @@ def recheck_record(rec: VerdictRecord) -> bool:
     except SolverBoundError:
         return rec.oracle == "skipped"
     return rec.oracle == "exhausted" and not out.is_witness
+
+
+def _fields_fit(rec: VerdictRecord) -> bool:
+    """The plain comparisons a row must pass: a known theorem outcome, a
+    nonnegative integer node count (0 when skipped), no witness or mu unless
+    the oracle found a witness, and `agree` as `_agreement` derives it."""
+    nodes = rec.nodes
+    if rec.theorem not in _THEOREMS or type(nodes) is not int or nodes < 0:
+        return False
+    if rec.oracle != "witness":
+        if rec.witness is not None or rec.mu is not None:
+            return False
+        if rec.oracle == "skipped" and nodes != 0:
+            return False
+    return rec.agree is _agreement(rec.theorem, rec.oracle)
 
 
 def emit_records(records: list[VerdictRecord], path) -> None:

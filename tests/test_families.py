@@ -134,6 +134,40 @@ def test_recognize_build_roundtrip_grid(grid):
         assert back == canonical_instance(inst), inst.render()
 
 
+def test_template_fields_pinned():
+    """Roles are derived from the base edges and the diameter from the family
+    class; the digest of every template's fields is the one they had when
+    each template stated them."""
+    fields = [
+        (d.name, d.roles, d.diam, d.hub_at, d.slots, d.symmetry, d.min_params,
+         d.base_edges, d.provenance, d.note)
+        for d in atlas_entries()
+    ]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
+        "9816975eba9d22453457cabde23262d7c2b874c47f6e79f469faa338313c687b"
+    )
+
+
+_C4 = (("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v1"))
+
+
+@pytest.mark.parametrize("edges, extra", [
+    ((("v1", "v2"), ("v2", "v4"), ("v4", "v1")), {}),  # edges skip v3
+    ((("v1", "v2"), ("v2", "x"), ("x", "v1")), {}),  # x is no role name
+    (_C4, {"slots": ("v5",)}),
+    (_C4, {"hub_at": "v5"}),
+    (_C4, {"provenance": (("v5", ("v1",)),)}),
+    (_C4, {"provenance": (("v1", ("v2", "v5")),)}),
+])
+def test_template_roles_checked(edges, extra):
+    """A template's roles are v1..vk, the vertices of its base edges, and
+    every role it names must be one of them."""
+    with pytest.raises(FamilyError):
+        families._Def(**{"family": "UD4-X", "base_edges": edges, "slots": (),
+                         **extra})
+    assert families._Def(family="UD4-X", base_edges=_C4, slots=()).diam == 4
+
+
 def test_atlas_index_representatives_pinned():
     """Which instance stands for each class of n <= 10 vertices: the
     digest of every (n, canonical code, representative) of the index."""

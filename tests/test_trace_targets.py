@@ -1,7 +1,8 @@
 """The benchmark tracer names package functions by (module, attribute).
 
-The tier-1 suite does not run `perfbench/`, so a rename or deletion of a
-traced name would otherwise surface only in `perfbench/run.py --trace 1`.
+A rename or deletion of a traced name breaks `perfbench/run.py --trace 1`.
+The tier-1 suite also runs `perfbench/`'s self-tests, whose tracer install
+would stop at the first missing name; this test names each missing target.
 """
 
 import importlib

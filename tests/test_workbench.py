@@ -154,6 +154,36 @@ def test_tampered_exhausted_row_fails_recheck(field, tampered):
     assert not recheck_record(VerdictRecord(**{**vars(exhausted), field: tampered}))
 
 
+@pytest.mark.parametrize("group, field, tampered", [
+    ("Z2", "n", 99),
+    ("Z2", "mu", "1"),
+    ("Z2", "witness", "v0=1,v1=1,v2=1,v3=1,v4=1"),
+    ("Z2", "nodes", -5),
+    ("Z2", "agree", False),
+    ("Z2", "theorem", "magic"),  # then agree would be False
+    ("Z2", "theorem", "bogus"),
+    ("Z2+Z2", "n", 99),
+    ("Z2+Z2", "agree", False),
+    ("Z2+Z2", "theorem", "not_magic"),  # then agree would be False
+    ("Z2+Z2", "nodes", -5),
+    ("Z2+Z2", "nodes", 5.0),
+    ("Z512", "nodes", 3),
+    ("Z512", "agree", True),
+    ("Z512", "mu", "1"),
+])
+def test_inconsistent_row_fails_recheck(group, field, tampered):
+    """A row whose oracle outcome rechecks but whose other fields contradict
+    it or the built instance fails the recheck: the exhausted (Z2), witness
+    (Z2+Z2) and skipped (Z512) rows of G2(1,0)."""
+    inst = parse_instance("G2(1,0)")
+    g, _ = families.build(inst)
+    rec = _one_record(inst, g, parse_group(group), group)
+    expected = {"Z2": "exhausted", "Z2+Z2": "witness", "Z512": "skipped"}
+    assert rec.oracle == expected[group]
+    assert recheck_record(rec)
+    assert not recheck_record(VerdictRecord(**{**vars(rec), field: tampered}))
+
+
 def test_skipped_row_rechecks_by_the_solver_bound():
     """A skipped row passes only because the solver refuses its pair."""
     inst = parse_instance("C4")
