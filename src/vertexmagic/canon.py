@@ -5,6 +5,11 @@ column-major upper-triangle adjacency encoding over all vertex orderings
 compatible with an isomorphism-invariant ordered partition (iterated degree
 refinement), found by branch-and-bound in `kernels.min_code`.  Intended for
 n <= 12: correctness over asymptotics at desk scale.
+
+Refinement keeps one color per vertex in a list and stops at the first
+round that splits no class, or once every cell is a singleton.  The search
+compares integer column words, places the vertices of a cell with one twin
+class left without branching, and branches once per twin class elsewhere.
 """
 
 from __future__ import annotations
@@ -23,26 +28,27 @@ def refinement_cells(g: Graph) -> list[list[int]]:
     signature order, so the resulting cell order depends only on the graph's
     isomorphism class.
     """
-    color = {v: 0 for v in range(g.n)}
-    degs = sorted(set(g.degrees))
-    rank = {d: i for i, d in enumerate(degs)}
-    for v in range(g.n):
-        color[v] = rank[g.degree(v)]
-    while True:
-        sigs = {
-            v: (color[v], tuple(sorted(color[u] for u in g.adj[v])))
-            for v in range(g.n)
-        }
-        distinct = sorted(set(sigs.values()))
-        remap = {s: i for i, s in enumerate(distinct)}
-        new_color = {v: remap[sigs[v]] for v in range(g.n)}
-        if new_color == color:
+    rank = {d: i for i, d in enumerate(sorted(set(g.degrees)))}
+    color = [rank[d] for d in g.degrees]
+    count = len(rank)
+    # refinement only splits classes, and a round that splits none renumbers
+    # none (ids are sorted with the old color first), so a round that adds
+    # no class, or a partition into singletons, is stable
+    while count < g.n:
+        sigs = [
+            (color[v], tuple(sorted([color[u] for u in nb])))
+            for v, nb in enumerate(g.adj)
+        ]
+        distinct = sorted(set(sigs))
+        if len(distinct) == count:
             break
-        color = new_color
-    cells: dict[int, list[int]] = {}
-    for v in range(g.n):
-        cells.setdefault(color[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        remap = {s: i for i, s in enumerate(distinct)}
+        color = [remap[s] for s in sigs]
+        count = len(distinct)
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(color):
+        cells[c].append(v)
+    return cells
 
 
 def canonical_code(g: Graph) -> bytes:

@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     x.set_defaults(fn=_cmd_crosscheck)
 
     a = sub.add_parser("audit", help="family-coverage audit")
-    a.add_argument("--nmax", type=int, default=10)
+    a.add_argument("--nmax", type=int, default=10,
+                   help="largest vertex count, 4..10 (bicyclic: at most 9)")
     a.add_argument("--out", metavar="FILE")
     a.set_defaults(fn=_cmd_audit)
     return ap

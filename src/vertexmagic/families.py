@@ -548,6 +548,9 @@ DEF_BY_KEY: dict[tuple[str, str | None], _Def] = {
     (d.family, d.variant): d for d in _DEFS + _VARIANT_DEFS
 }
 
+# one shared def per (family, k): a _Def is frozen, and the atlas index
+# looks the same ones up for every instance it builds
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _cycle_def(family: str, k: int) -> _Def:
     """The parametric shapes on the k-cycle v1..vk: CYCLE is the bare cycle,
     GENSUN takes a pendant bunch on every cycle vertex.  Rotations and
@@ -879,15 +882,30 @@ def enumerate_connected(n_max: int, rank: int, diam: int) -> list[Graph]:
 
 def enumerate_classes(n_max: int, rank: int, diam: int) -> dict[bytes, Graph]:
     """One representative per isomorphism class with the given cycle rank and
-    diameter, n <= n_max, keyed by canonical code in code order.
+    diameter, n <= n_max, keyed by canonical code in code order: the `diam`
+    entry of `classes_by_diameter`."""
+    return classes_by_diameter(n_max, rank, diam).get(diam, {})
+
+
+def classes_by_diameter(
+    n_max: int, rank: int, max_diam: int
+) -> dict[int, dict[bytes, Graph]]:
+    """For each diameter 0..max_diam, one representative per isomorphism
+    class with the given cycle rank, that diameter and n <= n_max, keyed by
+    canonical code in code order.
 
     Growth by pendant attachment from the minimum-degree-2 seeds of that
-    rank; pendant attachment never shrinks the diameter, so branches past the
-    target are pruned.  A pendant at v leaves the old distances unchanged, so
-    the child's diameter is max(diam(g), ecc(v) + 1) from the parent's
+    rank; pendant attachment never shrinks the diameter, so branches past
+    max_diam are pruned.  A pendant at v leaves the old distances unchanged,
+    so the child's diameter is max(diam(g), ecc(v) + 1) from the parent's
     eccentricities.  Pendants on twins give isomorphic children, so only the
     least vertex of each twin class gets one; that child is the one the
     deduplication by canonical code would keep anyway.
+
+    Each class takes its representative from the first parent, in code
+    order, that grows it.  Every parent of a class has at most its diameter,
+    so the representatives of one diameter do not depend on max_diam: one
+    growth serves every diameter up to it.
     """
     if n_max > 11:
         raise GraphError("enumeration supports n_max <= 11")
@@ -897,27 +915,28 @@ def enumerate_classes(n_max: int, rank: int, diam: int) -> dict[bytes, Graph]:
             for k in range(3, n_max + 1)
         ]
     elif rank == 2:
-        seeds = [b for b in _bicyclic_bases(n_max)]
+        seeds = _bicyclic_bases(n_max)
     else:
         raise GraphError("cycle rank must be 1 or 2")
 
     by_size: dict[int, dict[bytes, Graph]] = {}
     for s in seeds:
-        if diameter(s) <= diam:
+        if diameter(s) <= max_diam:
             by_size.setdefault(s.n, {})[canonical_code(s)] = s
-    results: dict[bytes, Graph] = {}
+    results: dict[int, dict[bytes, Graph]] = {
+        d: {} for d in range(max_diam + 1)
+    }
     for n in range(min(by_size, default=n_max + 1), n_max + 1):
-        level = by_size.get(n, {})
+        level = by_size.pop(n, {})
         for code, g in sorted(level.items()):
             ecc = eccentricities(g)
             g_diam = max(ecc)
-            if g_diam == diam:
-                results[code] = g
+            results[g_diam][code] = g
             if n == n_max:
                 continue
             root = twin_roots(g.masks)
             for v in range(g.n):
-                if root[v] != v or max(g_diam, ecc[v] + 1) > diam:
+                if root[v] != v or max(g_diam, ecc[v] + 1) > max_diam:
                     continue
                 child = Graph.from_edges(
                     g.n + 1, list(g.edges) + [(v, g.n)]
@@ -925,7 +944,10 @@ def enumerate_classes(n_max: int, rank: int, diam: int) -> dict[bytes, Graph]:
                 by_size.setdefault(n + 1, {}).setdefault(
                     canonical_code(child), child
                 )
-    return {c: results[c] for c in sorted(results)}
+    return {
+        d: {c: classes[c] for c in sorted(classes)}
+        for d, classes in results.items()
+    }
 
 
 # --- recognition -------------------------------------------------------------

@@ -63,27 +63,11 @@ class Graph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        seen = {0}
-        todo = deque([0])
-        while todo:
-            u = todo.popleft()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == self.n
-
-    def bfs_distances(self, source: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[source] = 0
-        todo = deque([source])
-        while todo:
-            u = todo.popleft()
-            for w in self.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    todo.append(w)
-        return dist
+        seen = frontier = 1
+        while frontier:
+            frontier = _spread(self.masks, frontier) & ~seen
+            seen |= frontier
+        return seen == (1 << self.n) - 1
 
     def relabeled(self, perm: list[int]) -> "Graph":
         """Graph with vertex v renamed perm[v]."""
@@ -101,14 +85,31 @@ class StructuralProfile:
     cycle_rank: int
 
 
+def _spread(masks: tuple[int, ...], frontier: int) -> int:
+    """The union of the neighbourhoods of the vertices in the set `frontier`."""
+    out = 0
+    while frontier:
+        low = frontier & -frontier
+        out |= masks[low.bit_length() - 1]
+        frontier ^= low
+    return out
+
+
 def eccentricities(g: Graph) -> list[int]:
-    """Greatest distance from each vertex to any other."""
+    """Greatest distance from each vertex to any other, by one bitset BFS
+    per vertex whose frontiers expand over `masks`."""
+    full = (1 << g.n) - 1
     out = []
     for v in range(g.n):
-        dist = g.bfs_distances(v)
-        if min(dist) < 0:
-            raise GraphError("diameter undefined for disconnected graph")
-        out.append(max(dist))
+        seen = frontier = 1 << v
+        depth = 0
+        while seen != full:
+            frontier = _spread(g.masks, frontier) & ~seen
+            if not frontier:
+                raise GraphError("diameter undefined for disconnected graph")
+            seen |= frontier
+            depth += 1
+        out.append(depth)
     return out
 
 
@@ -122,14 +123,18 @@ def twin_roots(masks: tuple[int, ...]) -> list[int]:
     u and v are twins when N(u) - {v} = N(v) - {u}, i.e. false twins (equal
     open neighbourhoods) or true twins (equal closed ones).  The relation is
     an equivalence: a false and a true twin pair cannot share a vertex.
-    Swapping two twins is an automorphism.
+    Swapping two twins is an automorphism.  Equal open masks mean
+    non-adjacent twins and equal closed masks adjacent ones, so the root is
+    the least vertex sharing either mask.
     """
-    n = len(masks)
-    return [
-        next(u for u in range(n)
-             if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
-        for v in range(n)
-    ]
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    roots = []
+    for v, m in enumerate(masks):
+        a = first_open.setdefault(m, v)
+        b = first_closed.setdefault(m | 1 << v, v)
+        roots.append(a if a < b else b)
+    return roots
 
 
 def pendant_bunches(g: Graph) -> tuple[tuple[int, ...], ...]:

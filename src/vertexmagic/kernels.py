@@ -4,10 +4,15 @@
   search_exists(...)                   one mu-slice of the magic-labeling DFS
   search_count(...)                    exact solution count for one mu-slice
 
-Both searches run one DFS over a pendant-free core.  Each support's pendant
-bunch enters it only through `_bunch_ways`: the search needs a nonzero
-number of ways to reach mu, and a completed core labeling counts as the
-product of those numbers.  Search-node counts are deterministic.  Labels
+The canonical-form search keeps the code as one integer word per position
+(that position's adjacency bits against the earlier ones), splits each cell
+into twin classes once, places a cell's last twin class in a loop, and
+recurses and sorts only where a cell has two or more classes left.
+
+Both labeling searches run one DFS over a pendant-free core.  Each
+support's pendant bunch enters it only through `_bunch_ways`: the search
+needs a nonzero number of ways to reach mu, and a completed core labeling
+counts as the product of those numbers.  Search-node counts are deterministic.  Labels
 are element indices into a group's lexicographic element order: index 0 is
 the zero element, `add` is the flat m*m addition table and `neg` the
 negation table.
@@ -21,22 +26,6 @@ from .graphs import twin_roots
 BACKEND = "python"
 
 
-def _pack_bits(n: int, bits: list[int]) -> bytes:
-    out = bytearray([n])
-    acc = 0
-    k = 0
-    for b in bits:
-        acc = (acc << 1) | b
-        k += 1
-        if k == 8:
-            out.append(acc)
-            acc = 0
-            k = 0
-    if k:
-        out.append(acc << (8 - k))
-    return bytes(out)
-
-
 def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     """Minimum adjacency encoding over cell-respecting vertex orderings.
 
@@ -46,6 +35,11 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     they grow.  `cells` is an ordered partition of the vertices computed
     from isomorphism-invariant refinement; orderings must fill cell blocks
     in the given order, which preserves canonicity while cutting the search.
+
+    Column words: position j's bits are one int of j bits, position 0 the
+    most significant.  Every word at position j has the same width, so
+    comparing lists of words compares the flat bit strings, and the final
+    words pack straight into the code's bytes.
 
     Pruning contract: `tight` is only ever True when the current prefix
     equals the incumbent's prefix (active frames are ancestors of whichever
@@ -59,53 +53,111 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     the cells, so their subtrees hold the same codes.  Without it a bunch of
     k pendants on one support costs k! leaves, since refinement never
     separates them.
+
+    Forced runs: each cell is split into its twin classes once, and a class
+    hands out its members in cell order.  A position whose cell has a single
+    class left has a single candidate, so it is placed in a loop; the search
+    recurses and sorts candidates only where two or more classes are left.
     """
-    if n == 1:
-        return bytes([1])
+    # a complete ordering exists exactly when the cells partition the
+    # vertices; an explicit raise, not an assert, so it survives python -O
+    flat = [v for cell in cells for v in cell]
+    if sorted(flat) != list(range(n)):
+        raise RuntimeError("min_code: the cells admit no complete ordering")
+    root = twin_roots(masks)
+    nbrs: list[list[int]] = []
+    for m in masks:
+        vs = []
+        while m:
+            low = m & -m
+            vs.append(low.bit_length() - 1)
+            m ^= low
+        nbrs.append(vs)
     cell_of_pos: list[int] = []
+    # per cell, its twin classes as stacks whose next member is last
+    stacks: list[list[list[int]]] = []
     for ci, cell in enumerate(cells):
         cell_of_pos.extend([ci] * len(cell))
-    pools = [list(cell) for cell in cells]
-    placed = [0] * n
-    total_bits = n * (n - 1) // 2
+        by_root: dict[int, list[int]] = {}
+        for v in cell:
+            by_root.setdefault(root[v], []).append(v)
+        stacks.append([members[::-1] for members in by_root.values()])
+    live = [len(classes) for classes in stacks]
+    pos_of = [n] * n  # n marks an unplaced vertex
+    cur = [0] * n
     best: list[int] | None = None
-    cur = [0] * total_bits
-    root = twin_roots(masks)
 
-    def rec(pos: int, offset: int, tight: bool) -> None:
+    def word(v: int, pos: int) -> int:
+        """v's adjacency bits against positions 0..pos-1, position 0 first."""
+        w = 0
+        for u in nbrs[v]:
+            p = pos_of[u]
+            if p < pos:
+                w |= 1 << (pos - 1 - p)
+        return w
+
+    def rec(pos: int, tight: bool) -> None:
         nonlocal best
-        if pos == n:
-            if best is None or cur < best:
-                best = cur.copy()
-            return
-        ci = cell_of_pos[pos]
-        pool = pools[ci]
-        reps: dict[int, int] = {}
-        for v in pool:
-            reps.setdefault(root[v], v)
-        ranked = sorted(
-            ([(masks[v] >> placed[i]) & 1 for i in range(pos)], v)
-            for v in reps.values()
-        )
-        for bits, v in ranked:
-            new_tight = tight
+        run: list[tuple[int, list[int], int]] = []
+        while pos < n and live[cell_of_pos[pos]] == 1:
+            ci = cell_of_pos[pos]
+            for stack in stacks[ci]:
+                if stack:
+                    break
+            v = stack[-1]
+            w = word(v, pos)
             if best is not None and tight:
-                seg = best[offset:offset + pos]
-                if bits > seg:
-                    break  # candidates are bit-sorted; the rest only grow
-                new_tight = bits == seg
-            cur[offset:offset + pos] = bits
-            placed[pos] = v
-            pools[ci] = [x for x in pool if x != v]
-            rec(pos + 1, offset + pos, new_tight)
-            pools[ci] = pool
-        return
+                b = best[pos]
+                if w > b:
+                    break  # the position's only candidate: the subtree is worse
+                tight = w == b
+            stack.pop()
+            if not stack:
+                live[ci] = 0
+            run.append((ci, stack, v))
+            cur[pos] = w
+            pos_of[v] = pos
+            pos += 1
+        else:
+            if pos == n:
+                if best is None or cur < best:
+                    best = cur.copy()
+            else:
+                ci = cell_of_pos[pos]
+                ranked = sorted(
+                    (word(stack[-1], pos), stack[-1], k)
+                    for k, stack in enumerate(stacks[ci]) if stack
+                )
+                for w, v, k in ranked:
+                    new_tight = tight
+                    if best is not None and tight:
+                        b = best[pos]
+                        if w > b:
+                            break  # candidates are word-sorted; the rest only grow
+                        new_tight = w == b
+                    stack = stacks[ci][k]
+                    stack.pop()
+                    if not stack:
+                        live[ci] -= 1
+                    cur[pos] = w
+                    pos_of[v] = pos
+                    rec(pos + 1, new_tight)
+                    pos_of[v] = n
+                    stack.append(v)
+                    if len(stack) == 1:
+                        live[ci] += 1
+        for ci, stack, v in reversed(run):
+            pos_of[v] = n
+            stack.append(v)
+            live[ci] = 1
 
-    rec(0, 0, True)
-    # an explicit raise, not an assert, so the check survives python -O
-    if best is None:
-        raise RuntimeError("min_code: the cells admit no complete ordering")
-    return _pack_bits(n, best)
+    rec(0, True)
+    bits = n * (n - 1) // 2
+    acc = 0
+    for j in range(1, n):
+        acc = (acc << j) | best[j]
+    size = (bits + 7) // 8
+    return bytes([n]) + (acc << (8 * size - bits)).to_bytes(size, "big")
 
 
 def _bunch_ways(target: int, cnt: int, m: int) -> int:

@@ -28,7 +28,7 @@ from .families import (
     _def_of,
     _instances_of_def,
     build,
-    enumerate_classes,
+    classes_by_diameter,
     parse_instance,
     recognize_code,
 )
@@ -281,28 +281,36 @@ def audit_families(nmax_uni: int = 10, nmax_bi: int = 9) -> AuditReport:
     """
     if nmax_uni > 10 or nmax_bi > 9:
         raise GraphError("audit bounds: unicyclic n <= 10, bicyclic n <= 9")
-    scopes = [(1, d, nmax_uni) for d in (1, 2, 3, 4)] + [(2, 3, nmax_bi)]
+    # a scope that can hold no graph would pass vacuously
+    if nmax_uni < 3 or nmax_bi < 4:
+        raise GraphError("audit bounds: unicyclic n >= 3, bicyclic n >= 4")
+    # one growth per cycle rank serves every diameter of that rank
+    growths = ((1, (1, 2, 3, 4), nmax_uni), (2, (3,), nmax_bi))
+    scopes = [(rank, d, n_max) for rank, diams, n_max in growths for d in diams]
     report = AuditReport(scopes=scopes)
-    for rank, diam, n_max in scopes:
-        for code, g in enumerate_classes(n_max, rank, diam).items():
-            inst = recognize_code(g.n, code)
-            if inst is None:
-                report.unrecognized.append(
-                    f"rank {rank} diam {diam} n={g.n} edges={list(g.edges)}"
-                )
-                continue
-            label = _def_of(inst).name
-            report.family_counts[label] = report.family_counts.get(label, 0) + 1
-            if inst.family == "CYCLE":
-                report.cycle_entries.append(
-                    f"C{inst.pendant_params[0]} (diameter {diam})"
-                )
-            if inst.variant is not None:
-                report.variant_entries[label] = (
-                    report.variant_entries.get(label, 0) + 1
-                )
-            if inst.family == "GENSUN":
-                report.gensun_entries.append(inst.render())
+    for rank, diams, n_max in growths:
+        by_diam = classes_by_diameter(n_max, rank, max(diams))
+        for diam in diams:
+            for code, g in by_diam[diam].items():
+                inst = recognize_code(g.n, code)
+                if inst is None:
+                    report.unrecognized.append(
+                        f"rank {rank} diam {diam} n={g.n} edges={list(g.edges)}"
+                    )
+                    continue
+                label = _def_of(inst).name
+                report.family_counts[label] = report.family_counts.get(label, 0) + 1
+                if inst.family == "CYCLE":
+                    report.cycle_entries.append(
+                        f"C{inst.pendant_params[0]} (diameter {diam})"
+                    )
+                if inst.variant is not None:
+                    report.variant_entries[label] = (
+                        report.variant_entries.get(label, 0) + 1
+                    )
+                if inst.family == "GENSUN":
+                    report.gensun_entries.append(inst.render())
+        del by_diam  # the rank-1 classes are not kept while rank 2 grows
     for (rank, diam), ks in _EXPECTED_CYCLES.items():
         present = [k for k in ks if f"C{k} (diameter {diam})"
                    in report.cycle_entries]

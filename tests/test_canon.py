@@ -175,6 +175,36 @@ def test_twin_heavy_n12(g):
     assert canonical_code(g.relabeled(perm)) == canonical_code(g)
 
 
+def _reference_cells(g):
+    """The dict-based refinement loop the list version replaced."""
+    color = {v: 0 for v in range(g.n)}
+    rank = {d: i for i, d in enumerate(sorted(set(g.degrees)))}
+    for v in range(g.n):
+        color[v] = rank[g.degree(v)]
+    while True:
+        sigs = {
+            v: (color[v], tuple(sorted(color[u] for u in g.adj[v])))
+            for v in range(g.n)
+        }
+        remap = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        new_color = {v: remap[sigs[v]] for v in range(g.n)}
+        if new_color == color:
+            break
+        color = new_color
+    cells = {}
+    for v in range(g.n):
+        cells.setdefault(color[v], []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def test_refinement_cells_match_the_reference_loop():
+    rng = random.Random(11)
+    graphs = list(_audit_graphs()) + [Graph.from_edges(1, [])]
+    graphs += [_random_connected(rng, rng.randint(2, 12)) for _ in range(200)]
+    for g in graphs:
+        assert refinement_cells(g) == _reference_cells(g)
+
+
 def test_min_code_raises_without_a_complete_ordering():
     # a cell listing vertex 0 twice leaves its second position unfillable;
     # the self-check is a raise, so it holds under python -O as well

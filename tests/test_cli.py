@@ -112,6 +112,20 @@ def test_audit_cli(capsys):
     assert "unrecognized: none" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("nmax", ["0", "-5", "3"])
+def test_audit_refuses_a_scope_without_graphs(nmax, capsys):
+    # below 3 vertices no unicyclic graph exists, below 4 no bicyclic one
+    assert main(["audit", "--nmax", nmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_audit_smallest_scope(capsys):
+    assert main(["audit", "--nmax", "4"]) == 0
+    assert "unrecognized: none" in capsys.readouterr().out
+
+
 def test_count_beyond_bound_exits_cleanly(capsys):
     assert main(["solve", "C4", "--group", "Z7", "--count"]) == 2
     err = capsys.readouterr().err

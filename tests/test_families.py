@@ -11,11 +11,13 @@ from vertexmagic.families import (
     _DEFS,
     _VARIANT_DEFS,
     _bicyclic_bases,
+    _def_of,
     atlas_entries,
     atlas_markdown,
     base_graph,
     build,
     canonical_instance,
+    classes_by_diameter,
     enumerate_classes,
     enumerate_connected,
     parse_instance,
@@ -268,6 +270,19 @@ def test_enumerate_matches_naive_growth(rank):
         assert [g.edges for g in got] == [g.edges for g in want]
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_one_growth_serves_every_diameter(rank):
+    by_diam = classes_by_diameter(8, rank, 4)
+    assert sorted(by_diam) == [0, 1, 2, 3, 4]
+    for diam in range(5):
+        want = enumerate_classes(8, rank, diam)
+        assert list(by_diam[diam]) == list(want)
+        # the same representatives, not just the same classes
+        assert [g.edges for g in by_diam[diam].values()] == [
+            g.edges for g in want.values()
+        ]
+
+
 def test_atlas_doc_is_generated():
     doc = Path(__file__).resolve().parents[1] / "docs" / "atlas.md"
     assert doc.read_text(encoding="utf-8") == atlas_markdown()
@@ -295,6 +310,24 @@ def test_cycle_shape_errors(text, message):
     with pytest.raises(FamilyError) as exc:
         build(parse_instance(text))
     assert str(exc.value) == message
+
+
+def test_cycle_defs_are_shared():
+    assert _def_of(FamilyInstance("CYCLE", (5,))) is _def_of(
+        FamilyInstance("CYCLE", (5,))
+    )
+    assert _def_of(FamilyInstance("GENSUN", (1, 0, 0))) is _def_of(
+        FamilyInstance("GENSUN", (0, 2, 1))
+    )
+    # a cached def stores no exception: a short cycle raises every time
+    for family, message in [
+        ("CYCLE", "cycles need length >= 3"),
+        ("GENSUN", "generalized sun needs a cycle of length >= 3"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(FamilyError) as exc:
+                families._cycle_def(family, 2)
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("text", ["GENSUN:zz(1,0,0)", "GENSUN(1,0,0;hub=[2])"])

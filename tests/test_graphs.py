@@ -1,4 +1,8 @@
+import itertools
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vertexmagic.graphs import (
     Graph,
@@ -7,12 +11,14 @@ from vertexmagic.graphs import (
     cycle_rank,
     degrees_same_parity,
     diameter,
+    eccentricities,
     is_generalized_sun,
     lemma0_obstruction,
     pendant_bunches,
     read_graph_file,
     support_vertices,
     to_dot,
+    twin_roots,
     two_core,
 )
 from vertexmagic.families import build, parse_instance
@@ -174,3 +180,101 @@ def test_graph_file_roundtrip():
         read_graph_file("not a number\n0 1\n")
     with pytest.raises(GraphError):
         read_graph_file("3\n0 1 2\n")
+
+
+# --- bitset BFS and twin classes against their definitions ---------------
+
+
+def _unchecked_graph(n, edges):
+    """A Graph built field by field, skipping the connectivity check."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(
+        n,
+        tuple(sorted(edges)),
+        tuple(tuple(sorted(a)) for a in adj),
+        tuple(sum(1 << w for w in a) for a in adj),
+    )
+
+
+def _queue_bfs(g, source):
+    dist = [-1] * g.n
+    dist[source] = 0
+    todo = deque([source])
+    while todo:
+        u = todo.popleft()
+        for w in g.adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                todo.append(w)
+    return dist
+
+
+@st.composite
+def _simple_graphs(draw, max_n=9):
+    """Any simple graph, connected or not, as (n, edges)."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+def _complete(n):
+    return n, list(itertools.combinations(range(n), 2))
+
+
+def _complete_split(n, k):
+    """A k-clique joined to every vertex of an independent set of n - k:
+    the clique vertices are adjacent twins, the others non-adjacent twins."""
+    return n, [(u, v) for u, v in itertools.combinations(range(n), 2) if u < k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_simple_graphs())
+def test_eccentricities_and_connectivity_match_a_queue_bfs(graph):
+    g = _unchecked_graph(*graph)
+    dists = [_queue_bfs(g, v) for v in range(g.n)]
+    connected = min(dists[0]) >= 0
+    assert g.is_connected() == connected
+    if connected:
+        assert eccentricities(g) == [max(d) for d in dists]
+    else:
+        with pytest.raises(GraphError, match="disconnected"):
+            eccentricities(g)
+
+
+def test_disconnected_graph_has_no_diameter():
+    g = _unchecked_graph(5, [(0, 1), (1, 2), (3, 4)])
+    assert not g.is_connected()
+    with pytest.raises(GraphError, match="disconnected"):
+        eccentricities(g)
+    with pytest.raises(GraphError, match="disconnected"):
+        diameter(g)
+    assert _unchecked_graph(1, []).is_connected()
+    assert eccentricities(_unchecked_graph(1, [])) == [0]
+
+
+def _pairwise_twin_roots(masks):
+    """Least u with N(u) - {v} = N(v) - {u}, straight from the definition."""
+    n = len(masks)
+    return [
+        next(u for u in range(n)
+             if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
+        for v in range(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _simple_graphs(),
+    st.integers(1, 9).map(_complete),
+    st.integers(1, 9).flatmap(
+        lambda n: st.integers(0, n).map(lambda k: _complete_split(n, k))
+    ),
+))
+def test_twin_roots_match_the_pairwise_definition(graph):
+    masks = _unchecked_graph(*graph).masks
+    assert twin_roots(masks) == _pairwise_twin_roots(masks)
+

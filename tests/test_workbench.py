@@ -253,6 +253,34 @@ def test_audit_bounds():
         audit_families(nmax_uni=11)
 
 
+@pytest.mark.parametrize("bounds", [(2, 9), (10, 3), (0, 0), (-5, -5)])
+def test_audit_refuses_scopes_without_graphs(bounds):
+    from vertexmagic.graphs import GraphError
+
+    with pytest.raises(GraphError, match="n >= 3"):
+        audit_families(*bounds)
+
+
+def test_default_audit_canonical_searches_pinned(monkeypatch):
+    """The default audit with a cold atlas index runs `kernels.min_code`
+    2,111 times: one growth per cycle rank serves every diameter (four
+    unicyclic growths ran 2,273).  A count, so it repeats exactly."""
+    from vertexmagic import kernels
+
+    calls = 0
+    real = kernels.min_code
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "min_code", counting)
+    families._atlas_index.cache_clear()
+    assert audit_families().clean
+    assert calls == 2111
+
+
 def test_audit_documents_exceptions():
     report = audit_families(nmax_uni=9, nmax_bi=8)
     text = report.to_text()
