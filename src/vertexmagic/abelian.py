@@ -397,8 +397,26 @@ def parse_group(text: str) -> GroupSpec:
     return GroupSpec(tuple(factors))
 
 
+@lru_cache(maxsize=None)
+def _literals(spec: GroupSpec) -> dict[str, GroupElement]:
+    """Each element's canonical literal `str(e)` mapped to the element.
+
+    One table per group, so its size does not grow with the literals a
+    caller parses.  Callers only read it.
+    """
+    return {str(e): e for e in spec.elements()}
+
+
 def parse_element(spec: GroupSpec, text: str) -> GroupElement:
-    """Parse `3` or `(1,0)` as an element of spec."""
+    """Parse `3` or `(1,0)` as an element of spec.
+
+    A canonical literal (as `str` renders it) is looked up in `_literals`;
+    any other text, such as `" 1"`, `"5"` over Z4 or `"(1, 0)"`, is parsed
+    and reduced, and a malformed one raises GroupError on every call.
+    """
+    hit = _literals(spec).get(text)
+    if hit is not None:
+        return hit
     s = text.strip()
     is_tuple = s.startswith("(") and s.endswith(")")
     if not is_tuple and spec.rank != 1:
@@ -418,16 +436,25 @@ def parse_element(spec: GroupSpec, text: str) -> GroupElement:
 
 @lru_cache(maxsize=None)
 def cayley_tables(spec: GroupSpec) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(order m, flat m*m addition table, negation table) over element indices."""
-    elems = spec.elements()
-    m = len(elems)
-    index = {e: i for i, e in enumerate(elems)}
-    add_flat = [0] * (m * m)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add_flat[i * m + j] = index[a + b]
-    neg_tab = [index[-a] for a in elems]
-    return m, tuple(add_flat), tuple(neg_tab)
+    """(order m, flat m*m addition table, negation table) over element indices.
+
+    Built on indices alone, one cyclic factor at a time: with the factor
+    Z_f appended to a group of order m, element a*f + b (the new factor
+    varies fastest, as in `element_at`) adds as
+    (a1*f + b1) + (a2*f + b2) = add[a1*m + a2]*f + (b1 + b2) mod f.
+    The negation of i is the column of 0 in row i.
+    """
+    m, add = 1, [0]
+    for f in spec.factors:
+        shifts = [[(b1 + b2) % f for b2 in range(f)] for b1 in range(f)]
+        grown = []
+        for a1 in range(m):
+            row = [c * f for c in add[a1 * m:(a1 + 1) * m]]
+            for shift in shifts:
+                grown.extend([c + t for c in row for t in shift])
+        m, add = m * f, grown
+    neg = tuple(add.index(0, i * m, (i + 1) * m) - i * m for i in range(m))
+    return m, tuple(add), neg
 
 
 def _generator_images(spec: GroupSpec):

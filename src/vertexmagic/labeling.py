@@ -14,6 +14,9 @@ independent check of both.
 
 `fill_pendants` completes a partial labeling by the decomposition lemma; the
 solver and the constructive recipes both finish their witnesses with it.
+
+`parse_labeling` reads the literal `v0=1,v1=(1,0),...` that `Labeling.render`
+writes, in which every vertex is named exactly once.
 """
 
 from __future__ import annotations
@@ -116,39 +119,49 @@ def fill_pendants(
 
 
 def _split_top_level(text: str) -> list[str]:
-    """Split on commas outside parentheses, so `v0=(1,0)` stays whole."""
+    """Split on commas outside parentheses, so `v0=(1,0)` stays whole.
+
+    Splits on every comma, then joins a piece back onto the previous one
+    while a parenthesis is open there; only pieces holding a parenthesis
+    are scanned.  A `)` with none open is ignored.
+    """
     chunks = []
     depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            chunks.append("".join(cur))
-            cur = []
+    for piece in text.split(","):
+        if depth:
+            chunks[-1] += "," + piece
         else:
-            cur.append(ch)
-    chunks.append("".join(cur))
+            chunks.append(piece)
+        if "(" in piece or ")" in piece:
+            for ch in piece:
+                if ch == "(":
+                    depth += 1
+                elif ch == ")":
+                    depth = max(0, depth - 1)
     return chunks
 
 
 def parse_labeling(spec: GroupSpec, text: str, n: int) -> Labeling:
-    """Parse the CLI literal `v0=1,v1=2,...` (all n vertices required)."""
+    """Parse the CLI literal `v0=1,v1=2,...`: each of v0..v(n-1) named once.
+
+    A vertex name is `v` followed by decimal digits; a malformed name, a
+    vertex named twice or a missing vertex raises InvalidLabelingError, and
+    a malformed element GroupError.
+    """
     values: dict[int, GroupElement] = {}
-    chunks = _split_top_level(text) if "(" in text else text.split(",")
-    for chunk in chunks:
+    for chunk in _split_top_level(text):
         chunk = chunk.strip()
         if not chunk:
             continue
         if "=" not in chunk or not chunk.startswith("v"):
             raise InvalidLabelingError(f"bad labeling chunk {chunk!r}")
         key, _, val = chunk.partition("=")
-        try:
-            idx = int(key[1:])
-        except ValueError as exc:
-            raise InvalidLabelingError(f"bad vertex name {key!r}") from exc
+        digits = key[1:].rstrip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise InvalidLabelingError(f"bad vertex name {key!r}")
+        idx = int(digits)
+        if idx in values:
+            raise InvalidLabelingError(f"vertex v{idx} is named twice")
         values[idx] = parse_element(spec, val)
     if sorted(values) != list(range(n)):
         raise InvalidLabelingError(

@@ -59,11 +59,13 @@ from .graphs import Graph, degrees_same_parity, pendant_bunches
 from .labeling import Labeling, MagicCertificate, fill_pendants, verify_magic
 
 EXISTS_MAX_N = 13
-# The m*m Cayley table (`abelian.cayley_tables`) is built before any search
-# and costs ~4x per doubling of |A|: C4 over Z256 sets up in 0.3 s (0.65 s
-# through `vmagic solve`), over Z512 in 1.1 s (1.6 s) and over Z1024 in
-# 5.0 s through `vmagic solve` (2 cores, Python 3.11).  Past 256 the table,
-# not the search, becomes what a call pays for.
+# The m*m Cayley table (`abelian.cayley_tables`) and the Aut(A)-orbits of
+# mu (`abelian.mu_orbits`) are built before any search, and each costs ~4x
+# per doubling of |A|, the orbits about twice the table: C4 over Z256 sets
+# up in 0.016 s (0.15 s through `vmagic solve`), over Z512 in 0.08 s and
+# over Z1024 in 0.4 s, 0.3 s of it the orbits (2 cores, Python 3.11).  Past
+# 256 the set-up, not the search, becomes what a call pays for; the bound
+# stays at 256 so that the rows it marks `skipped` stay the same.
 EXISTS_MAX_ORDER = 256
 COUNT_MAX_N = 10
 COUNT_MAX_ORDER = 5

@@ -16,6 +16,7 @@ from vertexmagic.abelian import (
     exponent,
     involutions,
     mu_orbits,
+    parse_element,
     parse_group,
     squares,
 )
@@ -239,13 +240,41 @@ def test_order_annihilates(spec):
 
 
 def test_cayley_tables_consistency():
-    m, add, neg = cayley_tables(Z2Z4)
-    elems = Z2Z4.elements()
-    assert m == 8
-    for i, a in enumerate(elems):
-        assert elems[neg[i]] == -a
-        for j, b in enumerate(elems):
-            assert elems[add[i * m + j]] == a + b
+    """The index-arithmetic tables equal the tables of element arithmetic
+    on every group of order <= 64."""
+    catalog = enumerate_abelian_groups(64)
+    assert len(catalog) == 116
+    for spec in catalog:
+        elems = spec.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        m, add, neg = cayley_tables(spec)
+        assert m == len(elems)
+        assert add == tuple(index[a + b] for a in elems for b in elems)
+        assert neg == tuple(index[-a] for a in elems)
+
+
+@pytest.mark.parametrize("spec, text, residues", [
+    (Z4, "3", (3,)),
+    (Z4, " 1", (1,)),
+    (Z4, "5", (1,)),
+    (Z4, "-1", (3,)),
+    (Z2Z4, "(1,3)", (1, 3)),
+    (Z2Z4, "(1, 0)", (1, 0)),
+    (Z2Z4, "(3,5)", (1, 1)),
+])
+def test_parse_element(spec, text, residues):
+    """Canonical literals and every other accepted spelling parse to the
+    reduced element."""
+    assert parse_element(spec, text) == spec.element(residues)
+
+
+@pytest.mark.parametrize("spec, text", [
+    (Z4, "x"), (Z2Z4, "1"), (Z2Z4, "(1,x)"), (Z2Z4, "(1,0,1)"),
+])
+def test_parse_element_errors_are_not_cached(spec, text):
+    for _ in range(2):
+        with pytest.raises(GroupError):
+            parse_element(spec, text)
 
 
 def test_automorphism_counts():

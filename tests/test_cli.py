@@ -153,7 +153,10 @@ def test_solve_beyond_group_order_bound_exits_cleanly(capsys):
     ["solve", "{graph}", "--group", "Z3"],
     ["solve", "M11(a,0)", "--group", "Z3"],
     ["verify", "C3", "--group", "Z3", "--labels", "v0=x,v1=1,v2=1"],
-], ids=["graph-file-edge", "instance-param", "label-element"])
+    ["verify", "C4", "--group", "Z4", "--labels", "v0=1,v1=1,v2=1,v3=1,v0=3"],
+    ["verify", "C3", "--group", "Z3", "--labels", "v+0=1,v1=1,v2=1"],
+], ids=["graph-file-edge", "instance-param", "label-element", "label-named-twice",
+        "label-bad-name"])
 def test_malformed_number_exits_cleanly(argv, tmp_path, capsys):
     graph = tmp_path / "bad.txt"
     graph.write_text("3\n0 1\n1 x\n")

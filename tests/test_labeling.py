@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexmagic.abelian import automorphisms, parse_group
+from vertexmagic import labeling
+from vertexmagic.abelian import GroupError, automorphisms, parse_group
 from vertexmagic.families import build, parse_instance
 from vertexmagic.graphs import Graph
 from vertexmagic.labeling import (
@@ -139,6 +140,138 @@ def test_parse_labeling_roundtrip():
         parse_labeling(Z5, "v0=1,v2=2", 3)
     with pytest.raises(InvalidLabelingError):
         parse_labeling(Z5, "nonsense", 2)
+
+
+@pytest.mark.parametrize("text", [
+    "v0=1,v1=1,v2=1,v0=3",  # v0 named twice
+    "v0=1,v1=1,v2=1,v00=1",  # v00 is v0
+    "v+0=1,v1=1,v2=1",
+    "v 0=1,v1=1,v2=1",
+    "v1_0=1,v1=1,v2=1",
+    "v=1,v1=1,v2=1",
+])
+def test_parse_labeling_names_each_vertex_once(text):
+    with pytest.raises(InvalidLabelingError):
+        parse_labeling(Z5, text, 3)
+
+
+def test_parse_labeling_spacing_is_kept():
+    lab = parse_labeling(Z5, " v0 = 1 , v1=2,,v2 =(3)", 3)
+    assert lab.render() == "v0=1,v1=2,v2=3"
+
+
+# --- the parser against the one it replaced -----------------------------------
+
+def _old_parse_element(spec, text):
+    s = text.strip()
+    is_tuple = s.startswith("(") and s.endswith(")")
+    if not is_tuple and spec.rank != 1:
+        raise GroupError(
+            f"element of {spec} needs a {spec.rank}-tuple, got {text!r}"
+        )
+    try:
+        if is_tuple:
+            parts = [p for p in s[1:-1].split(",") if p.strip() != ""]
+            residues = tuple(int(p) for p in parts)
+        else:
+            residues = int(s)
+    except ValueError as exc:
+        raise GroupError(f"bad number in element {text!r}") from exc
+    return spec.element(residues)
+
+
+def _old_split_top_level(text):
+    chunks = []
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if ch == "," and depth == 0:
+            chunks.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    chunks.append("".join(cur))
+    return chunks
+
+
+def _old_parse_labeling(spec, text, n):
+    values = {}
+    chunks = _old_split_top_level(text) if "(" in text else text.split(",")
+    for chunk in chunks:
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "=" not in chunk or not chunk.startswith("v"):
+            raise InvalidLabelingError(f"bad labeling chunk {chunk!r}")
+        key, _, val = chunk.partition("=")
+        try:
+            idx = int(key[1:])
+        except ValueError as exc:
+            raise InvalidLabelingError(f"bad vertex name {key!r}") from exc
+        values[idx] = _old_parse_element(spec, val)
+    if sorted(values) != list(range(n)):
+        raise InvalidLabelingError(
+            f"labeling must cover v0..v{n - 1} exactly, got {sorted(values)}"
+        )
+    return Labeling(spec, tuple(values[i] for i in range(n)))
+
+
+def _names_a_vertex_twice_or_badly(text):
+    """Whether a chunk the old parser accepted names a vertex again, or by
+    anything but `v` and decimal digits."""
+    seen = set()
+    for chunk in _old_split_top_level(text):
+        key = chunk.strip().partition("=")[0]
+        try:
+            idx = int(key[1:])
+        except ValueError:
+            continue
+        digits = key[1:].rstrip()
+        if idx in seen or not (digits.isascii() and digits.isdigit()):
+            return True
+        seen.add(idx)
+    return False
+
+
+def _outcome(parse, spec, text, n):
+    try:
+        return parse(spec, text, n)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+
+
+PARSE_GROUPS = tuple(parse_group(t) for t in ("Z5", "Z2+Z4", "Z2+Z2+Z2"))
+_SYMBOLS = "v0123=(),+- "
+_chunks = st.one_of(
+    st.text(_SYMBOLS, max_size=8),
+    st.builds("v{}={}".format, st.integers(0, 3), st.one_of(
+        st.integers(-1, 4).map(str),
+        st.lists(st.integers(-1, 4), min_size=1, max_size=4)
+        .map(lambda r: "(" + ",".join(map(str, r)) + ")"),
+        st.text(_SYMBOLS, max_size=6),
+    )),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(PARSE_GROUPS),
+       st.one_of(st.text(_SYMBOLS, max_size=40),
+                 st.lists(_chunks, max_size=5).map(",".join)),
+       st.integers(0, 4))
+def test_parse_labeling_matches_the_old_parser(spec, text, n):
+    """Same labeling or same exception type as the parser it replaced,
+    except that a repeated or malformed vertex name now raises."""
+    new = _outcome(parse_labeling, spec, text, n)
+    old = _outcome(_old_parse_labeling, spec, text, n)
+    assert new in (InvalidLabelingError, GroupError) or isinstance(new, Labeling)
+    assert _old_split_top_level(text) == labeling._split_top_level(text)
+    if new != old:
+        assert new is InvalidLabelingError
+        assert _names_a_vertex_twice_or_badly(text)
 
 
 # --- the integer check against GroupElement arithmetic ------------------------

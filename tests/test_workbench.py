@@ -119,6 +119,7 @@ def test_ledger_entry_synthesis():
     ("witness", "v0=(0,1),v1=(1,0),v2=(1,1),v3=(1,1)"),  # v4 missing
     ("witness", "v0=(0,x),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"),  # bad number
     ("witness", "v0=(0,1,1),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"),  # rank 3
+    ("witness", "v0=(1,1),v0=(0,1),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"),  # v0 twice
     ("group", "Z300"),  # the pairs need a rank-2 group
     ("group", "Z2+Q3"),  # no such group
     ("instance", "G2(x)"),  # does not parse
