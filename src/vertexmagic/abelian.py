@@ -397,22 +397,29 @@ def parse_group(text: str) -> GroupSpec:
     return GroupSpec(tuple(factors))
 
 
-@lru_cache(maxsize=None)
-def _literals(spec: GroupSpec) -> dict[str, GroupElement]:
-    """Each element's canonical literal `str(e)` mapped to the element.
+# groups up to this order (the solver's bound) get a table of their
+# elements' literals, built once from the element list; a larger group is
+# never enumerated, so a literal over it costs its length, not the order
+LITERAL_TABLE_MAX_ORDER = 256
 
-    One table per group, so its size does not grow with the literals a
-    caller parses.  Callers only read it.
-    """
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _literals(spec: GroupSpec) -> dict[str, GroupElement]:
+    """Each element's canonical literal `str(e)` mapped to the element, for
+    a group of order <= LITERAL_TABLE_MAX_ORDER; empty for a larger one.
+    Callers only read it."""
+    if spec.order > LITERAL_TABLE_MAX_ORDER:
+        return {}
     return {str(e): e for e in spec.elements()}
 
 
 def parse_element(spec: GroupSpec, text: str) -> GroupElement:
     """Parse `3` or `(1,0)` as an element of spec.
 
-    A canonical literal (as `str` renders it) is looked up in `_literals`;
-    any other text, such as `" 1"`, `"5"` over Z4 or `"(1, 0)"`, is parsed
-    and reduced, and a malformed one raises GroupError on every call.
+    A canonical literal (as `str` renders it) of a small group is looked up
+    in `_literals`; any other text, such as `" 1"`, `"5"` over Z4, `"(1, 0)"`
+    or any literal over a group past LITERAL_TABLE_MAX_ORDER, is parsed and
+    reduced, and a malformed one raises GroupError on every call.
     """
     hit = _literals(spec).get(text)
     if hit is not None:

@@ -119,25 +119,21 @@ def fill_pendants(
 
 
 def _split_top_level(text: str) -> list[str]:
-    """Split on commas outside parentheses, so `v0=(1,0)` stays whole.
-
-    Splits on every comma, then joins a piece back onto the previous one
-    while a parenthesis is open there; only pieces holding a parenthesis
-    are scanned.  A `)` with none open is ignored.
-    """
+    """Split on commas outside parentheses, so `v0=(1,0)` stays whole."""
     chunks = []
     depth = 0
-    for piece in text.split(","):
-        if depth:
-            chunks[-1] += "," + piece
+    cur = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if ch == "," and depth == 0:
+            chunks.append("".join(cur))
+            cur = []
         else:
-            chunks.append(piece)
-        if "(" in piece or ")" in piece:
-            for ch in piece:
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth = max(0, depth - 1)
+            cur.append(ch)
+    chunks.append("".join(cur))
     return chunks
 
 
@@ -149,7 +145,8 @@ def parse_labeling(spec: GroupSpec, text: str, n: int) -> Labeling:
     a malformed element GroupError.
     """
     values: dict[int, GroupElement] = {}
-    for chunk in _split_top_level(text):
+    chunks = _split_top_level(text) if "(" in text else text.split(",")
+    for chunk in chunks:
         chunk = chunk.strip()
         if not chunk:
             continue

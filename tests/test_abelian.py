@@ -261,6 +261,8 @@ def test_cayley_tables_consistency():
     (Z2Z4, "(1,3)", (1, 3)),
     (Z2Z4, "(1, 0)", (1, 0)),
     (Z2Z4, "(3,5)", (1, 1)),
+    (GroupSpec((512,)), "511", (511,)),  # past the literal table
+    (GroupSpec((512,)), "513", (1,)),
 ])
 def test_parse_element(spec, text, residues):
     """Canonical literals and every other accepted spelling parse to the

@@ -1,5 +1,8 @@
+from time import perf_counter
+
 import pytest
 
+from vertexmagic import abelian
 from vertexmagic.cli import main
 
 
@@ -32,6 +35,23 @@ def test_verify_labels(capsys):
                "--labels", "v0=1,v1=1,v2=1,v3=1"])
     assert rc == 0
     assert "mu=2" in capsys.readouterr().out
+
+
+def test_verify_over_a_large_group_returns_promptly(monkeypatch, capsys):
+    """Parsing and checking a labeling work on residues, so a group of
+    order about 10^9 costs no more than Z3; its elements are never listed."""
+
+    def refuse(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(abelian, "_elements_of", refuse)
+    t0 = perf_counter()
+    rc = main(["verify", "C3", "--group", "Z1000000007",
+               "--labels", "v0=1,v1=1,v2=1", "--weights"])
+    assert perf_counter() - t0 < 5.0
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "mu=2" in out and "w(v2) = 2" in out
 
 
 def test_verify_not_magic(capsys):

