@@ -404,7 +404,7 @@ LITERAL_TABLE_MAX_ORDER = 256
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _literals(spec: GroupSpec) -> dict[str, GroupElement]:
+def literal_table(spec: GroupSpec) -> dict[str, GroupElement]:
     """Each element's canonical literal `str(e)` mapped to the element, for
     a group of order <= LITERAL_TABLE_MAX_ORDER; empty for a larger one.
     Callers only read it."""
@@ -417,11 +417,11 @@ def parse_element(spec: GroupSpec, text: str) -> GroupElement:
     """Parse `3` or `(1,0)` as an element of spec.
 
     A canonical literal (as `str` renders it) of a small group is looked up
-    in `_literals`; any other text, such as `" 1"`, `"5"` over Z4, `"(1, 0)"`
-    or any literal over a group past LITERAL_TABLE_MAX_ORDER, is parsed and
-    reduced, and a malformed one raises GroupError on every call.
+    in `literal_table`; any other text, such as `" 1"`, `"5"` over Z4,
+    `"(1, 0)"` or any literal over a group past LITERAL_TABLE_MAX_ORDER, is
+    parsed and reduced, and a malformed one raises GroupError on every call.
     """
-    hit = _literals(spec).get(text)
+    hit = literal_table(spec).get(text)
     if hit is not None:
         return hit
     s = text.strip()

@@ -6,24 +6,38 @@ weights coincide; the common value is the magic constant.  A zero label is
 an *invalid labeling* (codomain violation), which is a different outcome
 from a valid labeling that fails to be magic.
 
-The check sums each vertex's neighbour residues per cyclic factor on plain
-ints and reduces once modulo that factor; group elements are built only for
-the certificate it returns.  It shares no code with the Cayley tables of
-`abelian.cayley_tables`, which the search and the oracle use, so it stays an
-independent check of both.
+The check packs each label's residues into one int, one bit field per
+cyclic factor, each field wide enough that a sum of n - 1 residues never
+carries into the next.  It sums the packed labels around each vertex, edge
+by edge, and reduces each distinct sum once per factor; group elements are
+built only for the certificate it returns.  It shares no code with the
+Cayley tables of `abelian.cayley_tables`, which the search and the oracle
+use, so it stays an independent check of both.
 
 `fill_pendants` completes a partial labeling by the decomposition lemma; the
 solver and the constructive recipes both finish their witnesses with it.
 
 `parse_labeling` reads the literal `v0=1,v1=(1,0),...` that `Labeling.render`
-writes, in which every vertex is named exactly once.
+writes, in which every vertex is named exactly once.  The rendered literal
+itself is read in one regular-expression pass and one `str.split`, with its
+labels looked up in the group's `abelian.literal_table`; any other text is
+read chunk by chunk.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import lshift, mod
 
-from .abelian import GroupElement, GroupSpec, decompose_sum, parse_element
+from .abelian import (
+    GroupElement,
+    GroupSpec,
+    decompose_sum,
+    literal_table,
+    parse_element,
+)
 from .graphs import Graph, GraphError, pendant_bunches, support_vertices
 
 
@@ -37,9 +51,14 @@ class Labeling:
     values: tuple[GroupElement, ...]
 
     def __post_init__(self):
+        group = self.group
         for v, x in enumerate(self.values):
-            if x.spec != self.group:
-                raise InvalidLabelingError(f"label of vertex {v} is from {x.spec}")
+            # labels mostly share one spec object, so identity settles the
+            # check after at most one comparison by value
+            if x.spec is not group:
+                if x.spec != group:
+                    raise InvalidLabelingError(f"label of vertex {v} is from {x.spec}")
+                group = x.spec
 
     def __getitem__(self, v: int) -> GroupElement:
         return self.values[v]
@@ -75,22 +94,54 @@ def weight(g: Graph, lab: Labeling, v: int) -> GroupElement:
     return GroupElement(lab.group, _sum_residues(lab.group.factors, rows))
 
 
+@lru_cache(maxsize=256)
+def _fields(factors: tuple[int, ...], n: int):
+    """(shifts, fields) of a packed label on a graph of order n: the bit
+    offset of each factor's field, the last factor lowest, and per factor
+    (offset, mask, f).  A field holds the sum of n - 1 residues of Z_f (at
+    least one), the most any neighbourhood adds, so no sum carries out."""
+    shifts = []
+    fields = []
+    at = 0
+    for f in reversed(factors):
+        width = (max(n - 1, 1) * (f - 1)).bit_length()
+        shifts.append(at)
+        fields.append((at, (1 << width) - 1, f))
+        at += width
+    return tuple(reversed(shifts)), tuple(reversed(fields))
+
+
 def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
-    """Certificate when all induced weights coincide, None otherwise."""
+    """Certificate when all induced weights coincide, None otherwise.
+
+    Residues are reduced as they are packed, so a label built with residues
+    out of range is read as the element they name and cannot spill into a
+    neighbouring field.
+    """
     _check_length(g, lab)
-    residues = [x.residues for x in lab.values]
-    for v, r in enumerate(residues):
-        if not any(r):
-            raise InvalidLabelingError(f"vertex {v} carries the zero element")
     factors = lab.group.factors
-    mu = None
-    for nbrs in g.adj:
-        w = _sum_residues(factors, [residues[u] for u in nbrs])
-        if mu is None:
-            mu = w
-        elif w != mu:
-            return None
-    return MagicCertificate(GroupElement(lab.group, mu))
+    shifts, fields = _fields(factors, g.n)
+    if len(factors) == 1:
+        f = factors[0]
+        packed = [x.residues[0] % f for x in lab.values]
+    else:
+        packed = [
+            sum(map(lshift, map(mod, x.residues, factors), shifts))
+            for x in lab.values
+        ]
+    if 0 in packed:
+        v = packed.index(0)
+        raise InvalidLabelingError(f"vertex {v} carries the zero element")
+    sums = [0] * g.n
+    for u, v in g.edges:
+        sums[u] += packed[v]
+        sums[v] += packed[u]
+    weights = {
+        tuple([(s >> at & mask) % f for at, mask, f in fields]) for s in set(sums)
+    }
+    if len(weights) != 1:
+        return None
+    return MagicCertificate(GroupElement(lab.group, weights.pop()))
 
 
 def check_support_forcing(g: Graph, cert: MagicCertificate, lab: Labeling) -> bool:
@@ -137,13 +188,38 @@ def _split_top_level(text: str) -> list[str]:
     return chunks
 
 
+# the shape `Labeling.render` writes: `v<digits>=<value>` joined by commas,
+# no value holding a `=` or a `v`
+_RENDERED = re.compile(r"v[0-9]+=[^=v]*(?:,v[0-9]+=[^=v]*)*")
+
+
+@lru_cache(maxsize=64)
+def _names(n: int) -> list[str]:
+    """The vertex numbers "0" .. str(n - 1); callers only read the list."""
+    return [str(i) for i in range(n)]
+
+
 def parse_labeling(spec: GroupSpec, text: str, n: int) -> Labeling:
     """Parse the CLI literal `v0=1,v1=2,...`: each of v0..v(n-1) named once.
 
     A vertex name is `v` followed by decimal digits; a malformed name, a
     vertex named twice or a missing vertex raises InvalidLabelingError, and
     a malformed element GroupError.
+
+    A literal as `Labeling.render` writes it (v0..v(n-1) in order, each label
+    a canonical literal of a group within `abelian.literal_table`'s bound)
+    is read in one pass; any other text chunk by chunk, to the same result.
     """
+    if _RENDERED.fullmatch(text):
+        # in that shape each `=` ends a name and each `,v` starts the next,
+        # so the parts alternate between vertex numbers and labels
+        parts = text[1:].replace(",v", "=").split("=")
+        if parts[::2] == _names(n):
+            table = literal_table(spec)
+            try:
+                return Labeling(spec, tuple(map(table.__getitem__, parts[1::2])))
+            except KeyError:
+                pass  # a label that is no canonical literal
     values: dict[int, GroupElement] = {}
     chunks = _split_top_level(text) if "(" in text else text.split(",")
     for chunk in chunks:

@@ -30,17 +30,23 @@ core's linear equations imply over every group (the shared-neighbourhood
 obstruction is its two-row case).  Its rows are Sum_{u in N(w)} x_u = mu
 for each core vertex w without a pendant bunch, and x_s = mu for each
 support s; a support's own weight row is dropped, since its pendant sum is
-no exact equation.  The Hermite normal form of [R | -1] gives two facts:
-d0 with d0 * mu = 0, and, for each core vertex v whose unit vector lies in
-the row lattice projected onto R, an integer k_v with x_v = k_v * mu.  A
-slice with d0 * mu != 0 or some k_v * mu = 0 is closed at 0 nodes; the
-other slices are searched exactly as without the presolve, so the witness,
-its mu and every record stay the same and `nodes` can only fall.
+no exact equation.  The Hermite normal form of [R | -1] gives d0 with
+d0 * mu = 0, and facts c * x_v + b * mu = 0, one per core vertex v at
+most: a unit fact (c = 1, i.e. x_v = -b * mu) when the unit vector of v
+lies in the row lattice projected onto R, read off that form, and
+otherwise a torsion fact (c >= 2) from a second form with v's column next
+to mu's.  M10(0,0) has 2 * x_5 = 0, so over a group of odd order x_5
+would be 0.  A slice is closed at 0 nodes when d0 * mu != 0 or some fact
+leaves x_v no nonzero value; per cyclic factor Z_f that is a gcd test on
+mu's residues (`_refutes`), with no Cayley table.  The other slices are
+searched exactly as without the presolve, so the witness, its mu and every
+record stay the same and `nodes` can only fall.
 
 The core system and its facts are computed once per graph, whatever the
 group, and cached as one plan (`_plan`); the slices left open are computed
 once per group and set of facts (`_open_slices`).  A call then pays for the
-bounds, the Cayley tables, the plan lookup and the open slices' searches.
+bounds, the plan lookup and, when a slice is open, the Cayley tables and
+the open slices' searches.
 `count_magic` searches the same plan and open slices to the end: a closed
 slice has no labeling to count.
 
@@ -52,6 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import gcd
 
 from . import kernels
 from .abelian import GroupCatalog, GroupSpec, cayley_tables, mu_orbits
@@ -148,8 +156,8 @@ def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(d0, ((v, k_v), ...)) read from the Hermite normal form of the core
+def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d0, ((v, c, b), ...)) read from Hermite normal forms of the core
     system [R | -1].
 
     R holds Sum_{u in neigh(w)} x_u = mu for each core vertex w without a
@@ -158,15 +166,22 @@ def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, int], ..
     equation on the core.  Every integer combination of the rows holds in
     every magic labeling, over every group.  A combination with a zero
     R-part yields d0 * mu = 0 (d0 = 0 when there is none), and one whose
-    R-part is the unit vector of v yields x_v = k_v * mu (k_v is defined
-    mod d0).  The pairs (v, k_v) are listed for the vertices that are no
-    supports and have such a combination.
+    R-part is c times the unit vector of v yields the fact
+    c * x_v + b * mu = 0, with b reduced mod d0.  A unit fact (c = 1) is
+    read off the Hermite form itself.  For every other vertex v on which a
+    basis row pivots (no other vertex has a fact), a second form, of the
+    rows from that one on with v's column moved just before mu's, gives the
+    least such c >= 2 (a torsion fact), if there is one.
+
+    Those extra forms are skipped when d0 and the unit facts already close
+    every slice over every group: d0 = 1 on a graph with a support (mu = 0,
+    which a support's pendant rules out), or a unit fact with b = 0 (x_v = 0).
 
     Subtracting the rows x_s = mu clears the support columns of the other
     rows without changing the lattice.  A combination whose R-part vanishes,
-    or is e_v for a vertex v that is no support, then uses no x_s = mu row,
-    so the cleared rows alone give d0 and those k_v.  A support's x_s = mu
-    is the forcing the search applies anyway, so it is not listed.
+    or is c * e_v for a vertex v that is no support, then uses no x_s = mu
+    row, so the cleared rows alone give d0 and those facts.  A support's
+    x_s = mu is the forcing the search applies anyway, so it is not listed.
     """
     c = len(neigh)
     rows = []
@@ -180,13 +195,28 @@ def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, int], ..
     basis = _hermite(rows, c + 1)
     # only the last basis row can have a zero R-part: the one pivoting on mu
     d0 = basis[-1][c] if basis and not any(basis[-1][:c]) else 0
-    fixed = []
+    facts = []
     for r in basis:
         # the basis is fully reduced, so e_v lies in the projected lattice
-        # exactly when some basis row is (e_v, b); then x_v = -b * mu
+        # exactly when some basis row is (e_v, b); then x_v + b * mu = 0
         if sum(map(abs, r[:c])) == 1:
-            fixed.append((r.index(1), -r[c] % d0 if d0 else -r[c]))
-    return d0, tuple(fixed)
+            facts.append((r.index(1), 1, r[c]))
+    if (d0 == 1 and any(support)) or any(b == 0 for _, _, b in facts):
+        return d0, tuple(facts)
+    fixed = {v for v, _, _ in facts}
+    for i, r in enumerate(basis):
+        v = next(u for u, a in enumerate(r) if a)
+        if v == c or v in fixed:
+            continue
+        # a combination (c_v * e_v, b) leads at v, so it uses no basis row
+        # that pivots before v, and v must be a pivot; moving v's column
+        # next to mu's, the Hermite form of the rows from v's on has it as
+        # the row that pivots on v, if there is one
+        order = [*range(v + 1, c), v, c]
+        for t in _hermite([[row[u] for u in order] for row in basis[i:]], len(order)):
+            if t[-2] and not any(t[:-2]):
+                facts.append((v, t[-2], t[-1]))
+    return d0, tuple(facts)
 
 
 # records are rechecked in any order, so the bound holds the whole standard
@@ -213,18 +243,41 @@ def _plan(g: Graph):
 
 
 def lattice_facts(g: Graph) -> tuple[int, dict[int, int]]:
-    """The presolve's facts over g's own vertices: (d0, {v: k_v}), i.e.
-    d0 * mu = 0 and x_v = k_v * mu in every magic labeling over any group,
-    for the core vertices that are no supports (a support's label is mu)."""
-    core, _, _, _, d0, fixed = _plan(g)
-    return d0, {core[v]: kv for v, kv in fixed}
+    """The presolve's unit facts over g's own vertices: (d0, {v: k_v}),
+    i.e. d0 * mu = 0 and x_v = k_v * mu in every magic labeling over any
+    group, for the core vertices that are no supports (a support's label is
+    mu)."""
+    core, _, _, _, d0, facts = _plan(g)
+    return d0, {core[v]: -b % d0 if d0 else -b for v, c, b in facts if c == 1}
 
 
-def _closed(spec: GroupSpec, mu: int, d0: int, fixed) -> bool:
-    """Whether the facts refute this mu: d0 * mu != 0, or some k_v * mu = 0
-    although x_v must be nonzero."""
-    x = spec.element_at(mu)
-    return not (d0 * x).is_zero() or any((kv * x).is_zero() for _, kv in fixed)
+def torsion_facts(g: Graph) -> dict[int, tuple[int, int]]:
+    """The presolve's torsion facts over g's own vertices: {v: (c, b)} with
+    c >= 2 and c * x_v + b * mu = 0 in every magic labeling over any group.
+    Empty when d0 and the unit facts close every slice already (see
+    `_lattice_facts`)."""
+    core, _, _, _, _, facts = _plan(g)
+    return {core[v]: (c, b) for v, c, b in facts if c >= 2}
+
+
+def _refutes(c: int, b: int, factors: tuple[int, ...], mu) -> bool:
+    """Whether c * x = -b * mu has no nonzero solution x, for mu given by
+    its residues.  Over Z_f, c * x = t is solvable iff gcd(c, f) divides t,
+    and the solutions form a coset of A[c], which is {0} alone when every
+    gcd(c, f) is 1 and every t is 0.  With c = 0 this reads b * mu != 0."""
+    ts = [-b * r % f for r, f in zip(mu, factors)]
+    gs = [gcd(c, f) for f in factors]
+    if any(t % gf for t, gf in zip(ts, gs)):
+        return True
+    return not any(ts) and all(gf == 1 for gf in gs)
+
+
+def _closed(factors: tuple[int, ...], mu, d0: int, facts) -> bool:
+    """Whether the facts refute this mu (its residues): d0 * mu != 0, or
+    some fact c * x_v + b * mu = 0 leaves x_v no nonzero value."""
+    return _refutes(0, d0, factors, mu) or any(
+        _refutes(c, b, factors, mu) for _, c, b in facts
+    )
 
 
 # keyed on the facts, not on the graph, so graphs that share them share the
@@ -235,11 +288,17 @@ def _open_slices(spec: GroupSpec, has_supports: bool, d0: int, facts) -> tuple[i
     refute; mu = 0 is left out when the graph has a support vertex, whose
     label is mu and is the weight of its pendant."""
     rep, _ = mu_orbits(spec)
+    # product runs through the residues in index order, as element_at does
+    residues = product(*[range(f) for f in spec.factors])
     return tuple([
-        mu for mu, r in enumerate(rep)
+        mu for (mu, r), x in zip(enumerate(rep), residues)
         if r == mu and not (has_supports and mu == 0)
-        and not _closed(spec, mu, d0, facts)
+        and not _closed(spec.factors, x, d0, facts)
     ])
+
+
+# the outcome when the presolve closes every slice; frozen, so one is shared
+_CLOSED = SolveOutcome("exhausted", None, None, 0)
 
 
 def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
@@ -252,11 +311,14 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
         raise SolverBoundError(
             f"|A| = {spec.order} exceeds the solver bound {EXISTS_MAX_ORDER}"
         )
-    m, add, neg = cayley_tables(spec)
     core, neigh, pend, support, d0, facts = _plan(g)
-    nodes = 0
     # slices the presolve closes are skipped, at 0 nodes
-    for mu in _open_slices(spec, any(support), d0, facts):
+    slices = _open_slices(spec, any(support), d0, facts)
+    if not slices:
+        return _CLOSED
+    m, add, neg = cayley_tables(spec)
+    nodes = 0
+    for mu in slices:
         forced = [mu if s else -1 for s in support]
         labels, nd = kernels.search_exists(
             len(core), neigh, pend, forced, m, add, neg, mu

@@ -18,3 +18,9 @@ def grid():
 def campaign(grid, catalog8):
     """The full standard crosscheck, shared by workbench and acceptance tests."""
     return crosscheck(grid, catalog8)
+
+
+@pytest.fixture(scope="session")
+def campaign16(grid):
+    """The standard crosscheck over every group of order <= 16."""
+    return crosscheck(grid, enumerate_abelian_groups(16))

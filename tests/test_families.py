@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,26 @@ def test_one_growth_serves_every_diameter(rank):
         assert [g.edges for g in by_diam[diam].values()] == [
             g.edges for g in want.values()
         ]
+
+
+# connected graphs by order: OEIS A001429 counts the unicyclic ones (cycle
+# rank 1, n = 3..10), OEIS A001435 those with n + 1 edges (cycle rank 2,
+# n = 4..9)
+CLASS_COUNTS = {
+    1: dict(zip(range(3, 11), (1, 2, 5, 13, 33, 89, 240, 657))),
+    2: dict(zip(range(4, 10), (1, 5, 19, 67, 236, 797))),
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_class_counts_match_the_published_sequences(rank):
+    """One class per isomorphism class over all diameters: a code that split
+    a class would raise a count, one that merged two would lower it, and a
+    growth that missed a class would lower it too."""
+    n_max = max(CLASS_COUNTS[rank])
+    by_diam = classes_by_diameter(n_max, rank, n_max)
+    counts = Counter(g.n for reps in by_diam.values() for g in reps.values())
+    assert counts == CLASS_COUNTS[rank]
 
 
 def test_atlas_doc_is_generated():

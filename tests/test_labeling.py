@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vertexmagic import labeling
-from vertexmagic.abelian import GroupError, automorphisms, parse_group
+from vertexmagic.abelian import GroupElement, GroupError, automorphisms, parse_group
 from vertexmagic.families import build, parse_instance
 from vertexmagic.graphs import Graph
 from vertexmagic.labeling import (
@@ -306,8 +306,31 @@ def labeled_graphs(draw):
     return g, Labeling(spec, values)
 
 
+def _star_at_the_carry_boundary(group):
+    """K_{1,12} with every leaf on the largest residue of each factor and
+    the centre on their sum, so the labeling is magic: the centre's weight
+    fills each packed field to the bit, and a field one bit narrower would
+    carry into the next one (over Z2+Z128, 12 * 127 needs 11 bits)."""
+    spec = parse_group(group)
+    top = spec.element([f - 1 for f in spec.factors])
+    g = Graph.from_edges(13, [(0, v) for v in range(1, 13)])
+    return g, Labeling(spec, (12 * top,) + (top,) * 12)
+
+
+def _triangle_with_unreduced_residues():
+    """Labels (1,9), (1,1) and (3,-3) of Z2+Z4, all the element (1,1): read
+    unreduced, 9 would spill out of its field."""
+    spec = parse_group("Z2+Z4")
+    g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    labels = ((1, 9), (1, 1), (3, -3))
+    return g, Labeling(spec, tuple(GroupElement(spec, r) for r in labels))
+
+
 @settings(max_examples=200, deadline=None)
 @given(labeled_graphs())
+@example(_triangle_with_unreduced_residues())
+@example(_star_at_the_carry_boundary("Z256"))
+@example(_star_at_the_carry_boundary("Z2+Z128"))
 def test_integer_check_agrees_with_group_arithmetic(case):
     g, lab = case
     for v in range(g.n):

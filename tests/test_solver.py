@@ -14,11 +14,12 @@ from vertexmagic.abelian import (
     cayley_tables,
     decompose_sum,
     enumerate_abelian_groups,
+    parse_element,
     parse_group,
 )
 from vertexmagic.families import build, enumerate_connected, parse_instance, recognize
 from vertexmagic.graphs import Graph
-from vertexmagic.labeling import verify_magic
+from vertexmagic.labeling import parse_labeling, verify_magic
 from vertexmagic.oracle import OracleBoundError, naive_count, naive_exists
 from vertexmagic import solver
 from vertexmagic.solver import (
@@ -29,6 +30,7 @@ from vertexmagic.solver import (
     exists_magic,
     is_group_vertex_magic_empirical,
     lattice_facts,
+    torsion_facts,
     z2_magic,
 )
 from vertexmagic.workbench import standard_catalog, standard_grid
@@ -497,7 +499,7 @@ def test_grid_counts_pinned(grid, monkeypatch):
     slices that hold no labeling."""
     lines, nodes = _grid_counts(grid, monkeypatch)
     assert len(lines) == 2_105
-    assert nodes == 4_455
+    assert nodes == 2_994  # 4,455 with the unit facts alone
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
         "9b7013d24aa5d5a043c61b521bf8c1fbce0bbc2bbf44a934977eb8989072b82c"
@@ -557,6 +559,64 @@ def test_lattice_facts_hold_in_every_magic_labeling(g, spec):
         assert (d0 * x).is_zero(), (g.edges, spec, labels)
         for v, kv in k.items():
             assert spec.element_at(labels[v]) == kv * x, (g.edges, spec, labels, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_graphs(max_n=7), st.sampled_from(list(enumerate_abelian_groups(5))))
+# M10(0,0) has 2 * x_5 = 0 (c = 2), and 7 magic labelings over Z4
+@example(build(parse_instance("M10(0,0)"))[0], Z4)
+def test_torsion_facts_hold_in_every_magic_labeling(g, spec):
+    """c * x_v + b * mu = 0 in every labeling brute force finds."""
+    facts = torsion_facts(g)
+    assert all(c >= 2 for c, _ in facts.values())
+    for labels, mu in _magic_labelings(g, spec):
+        x = spec.element_at(mu)
+        for v, (c, b) in facts.items():
+            y = spec.element_at(labels[v])
+            assert (c * y + b * x).is_zero(), (g.edges, spec, labels, v)
+
+
+def test_torsion_facts_of_m10():
+    # 2 * x_5 = 0: over a group of odd order x_5 = 0, so M10(0,0) is magic
+    # over none; 2 * x_0 = 2 * mu, and 2 * x = 0 at vertices 2 and 4 too
+    g, _ = build(parse_instance("M10(0,0)"))
+    assert lattice_facts(g) == (0, {})
+    assert torsion_facts(g) == {0: (2, -2), 2: (2, 0), 4: (2, 0), 5: (2, 0)}
+
+
+@pytest.mark.parametrize("name, group", [
+    ("M10(0,0)", "Z63"),  # 90,840 nodes with the unit facts alone
+    ("M12(3,0)", "Z15"),  # 1,686
+])
+def test_torsion_facts_close_groups_of_odd_order(name, group):
+    g, _ = build(parse_instance(name))
+    out = exists_magic(g, parse_group(group))
+    assert out.status == "exhausted" and out.nodes == 0
+
+
+def test_torsion_facts_are_skipped_when_slices_are_closed():
+    # M10(1,0) has x_3 = 0, which closes every slice already, so the forms
+    # that would give M10(0,0)'s torsion facts are not computed
+    g, _ = build(parse_instance("M10(1,0)"))
+    assert lattice_facts(g) == (0, {3: 0})
+    assert torsion_facts(g) == {}
+
+
+def test_no_witness_of_the_order_16_crosscheck_is_closed(campaign16):
+    """Every fact holds in every witness labeling of the crosscheck over
+    the groups of order <= 16, and leaves its mu open."""
+    witnesses = [r for r in campaign16 if r.oracle == "witness"]
+    assert len(witnesses) == 2_349
+    for rec in witnesses:
+        g, _ = build(parse_instance(rec.instance))
+        spec = parse_group(rec.group)
+        lab = parse_labeling(spec, rec.witness, g.n)
+        mu = parse_element(spec, rec.mu)
+        core, _, _, _, d0, facts = solver._plan(g)
+        assert (d0 * mu).is_zero(), rec
+        for v, c, b in facts:
+            assert (c * lab[core[v]] + b * mu).is_zero(), (rec, v)
+        assert not solver._closed(spec.factors, mu.residues, d0, facts), rec
 
 
 def _triangle_with_tail():
@@ -643,9 +703,9 @@ def _imported_names(module) -> set[str]:
 
 def test_oracle_shares_no_code_with_the_search():
     """oracle.py imports neither the solver, nor the kernels, nor the
-    presolve, so it stays an independent check of the search."""
+    presolve's facts, so it stays an independent check of the search."""
     imported = _imported_names(oracle)
-    forbidden = {"solver", "kernels", "lattice_facts"}
+    forbidden = {"solver", "kernels", "lattice_facts", "torsion_facts"}
     assert imported, "no imports parsed"
     assert not imported & forbidden, imported & forbidden
 
@@ -655,7 +715,9 @@ def test_certificate_check_shares_no_code_with_the_search():
     presolve, nor the Cayley tables the search and the oracle add with, so
     the certificate check stays independent of both."""
     imported = _imported_names(labeling)
-    forbidden = {"solver", "kernels", "lattice_facts", "cayley_tables"}
+    forbidden = {
+        "solver", "kernels", "lattice_facts", "torsion_facts", "cayley_tables",
+    }
     assert imported, "no imports parsed"
     assert not imported & forbidden, imported & forbidden
 

@@ -71,9 +71,22 @@ def test_records_roundtrip(tmp_path, campaign):
     assert again == campaign
 
 
+def _without_nodes(lines) -> str:
+    """sha256 of record lines with their `nodes` field dropped."""
+    digest = hashlib.sha256()
+    for line in lines:
+        row = json.loads(line)
+        del row["nodes"]
+        digest.update(
+            (json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        )
+    return digest.hexdigest()
+
+
 def test_records_byte_stable(tmp_path):
     """Two runs emit the same bytes, and those bytes, `nodes` included, are
-    pinned by digest."""
+    pinned by digest.  Without `nodes` they are pinned too, to the digest
+    they had before the torsion facts: those may only lower `nodes`."""
     grid = [parse_instance(s)
             for s in ("G2(1,0)", "M11(0,0)", "M3(1,0,0)", "M4(0,0)", "C5")]
     catalog = enumerate_abelian_groups(5)
@@ -83,7 +96,10 @@ def test_records_byte_stable(tmp_path):
     emit_records(crosscheck(grid, catalog), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert hashlib.sha256(p1.read_bytes()).hexdigest() == (
-        "8e71628821915fb691d4c65eb10b8d13e7d596fa7e28a0ac3a878e05f62b0af2"
+        "c41b4e58de3f5ca23af429f3a2a54c63f658662fd4b6f4a22e88dccd5e6ce6d6"
+    )
+    assert _without_nodes(p1.read_text().splitlines()) == (
+        "ee3f4f34f580ff28fde1d80f4367b42daef75d57c60a3c16da901d2c600d848d"
     )
 
 
@@ -240,21 +256,24 @@ def test_campaign_and_audit_unchanged(campaign):
     Records must stay byte-identical apart from `nodes`, which may only
     fall; the audit text must not change at all.
     """
-    digest = hashlib.sha256()
-    for rec in campaign:
-        row = json.loads(rec.to_json())
-        del row["nodes"]
-        line = json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-        digest.update(line.encode())
     assert len(campaign) == 7590
-    assert digest.hexdigest() == (
+    assert _without_nodes(rec.to_json() for rec in campaign) == (
         "975aa159f26d8db3f879acc7b49236d8231a3f800ae2154956589088b57e70f6"
     )
-    assert sum(rec.nodes for rec in campaign) <= 11439
+    # 11,439 before the torsion facts
+    assert sum(rec.nodes for rec in campaign) <= 6_595
     audit = hashlib.sha256(audit_families().to_text().encode()).hexdigest()
     assert audit == (
         "cbe68cfdc947975d540a99f5ffe5a53279088652b0a9f05cc9ce94b72242b6e5"
     )
+
+
+def test_order_16_crosscheck_nodes_pinned(campaign16):
+    """The crosscheck over every group of order <= 16: its size, and its
+    search nodes (63,789 before the torsion facts)."""
+    assert len(campaign16) == 18_216
+    assert sum(rec.nodes for rec in campaign16) == 22_230
+    assert discrepancies(campaign16) == []
 
 
 def test_audit_clean():
