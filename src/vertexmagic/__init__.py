@@ -5,7 +5,6 @@ oracle over a catalog of finite abelian groups.
 """
 
 from .abelian import (
-    GroupCatalog,
     GroupElement,
     GroupSpec,
     enumerate_abelian_groups,
@@ -18,7 +17,6 @@ from .solver import SolveOutcome, count_magic, exists_magic, z2_magic
 __version__ = "0.1.0"
 
 __all__ = [
-    "GroupCatalog",
     "GroupElement",
     "GroupSpec",
     "Graph",

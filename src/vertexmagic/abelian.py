@@ -1,6 +1,7 @@
 """Finite abelian groups presented as direct sums of cyclic factors.
 
-Elements are residue vectors with componentwise modular arithmetic.  The
+Elements are residue vectors with componentwise modular arithmetic; the
+residues are reduced once, when a `GroupElement` is constructed.  The
 canonical presentation is the invariant-factor chain d_1 | d_2 | ... | d_k,
 which is unique per isomorphism class and therefore usable as a dictionary
 key.  Element enumeration is always in lexicographic residue order, so the
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
+from operator import add, mod, neg, sub
 
 
 class GroupError(ValueError):
@@ -133,14 +135,8 @@ class GroupSpec:
         return GroupElement(self, (0,) * len(self.factors))
 
     def element(self, residues) -> "GroupElement":
-        residues = (residues,) if isinstance(residues, int) else tuple(residues)
-        if len(residues) != len(self.factors):
-            raise GroupError(
-                f"residue vector length {len(residues)} != rank {len(self.factors)}"
-            )
-        return GroupElement(
-            self, tuple(int(r) % f for r, f in zip(residues, self.factors))
-        )
+        residues = (residues,) if isinstance(residues, int) else residues
+        return GroupElement(self, tuple(map(int, residues)))
 
     def elements(self) -> tuple["GroupElement", ...]:
         return _elements_of(self)
@@ -170,10 +166,18 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Residue vector in a GroupSpec; arithmetic is componentwise modular."""
+    """Residue vector in a GroupSpec, checked and reduced at construction."""
 
     spec: GroupSpec
     residues: tuple[int, ...]
+
+    def __post_init__(self):
+        factors = self.spec.factors
+        if len(self.residues) != len(factors):
+            raise GroupError(
+                f"residue vector length {len(self.residues)} != rank {len(factors)}"
+            )
+        object.__setattr__(self, "residues", tuple(map(mod, self.residues, factors)))
 
     def _check(self, other: "GroupElement") -> None:
         if self.spec != other.spec:
@@ -183,28 +187,17 @@ class GroupElement:
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
-        return GroupElement(
-            self.spec,
-            tuple(
-                (a + b) % f
-                for a, b, f in zip(self.residues, other.residues, self.spec.factors)
-            ),
-        )
+        return GroupElement(self.spec, tuple(map(add, self.residues, other.residues)))
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(
-            self.spec,
-            tuple((-a) % f for a, f in zip(self.residues, self.spec.factors)),
-        )
+        return GroupElement(self.spec, tuple(map(neg, self.residues)))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
+        self._check(other)
+        return GroupElement(self.spec, tuple(map(sub, self.residues, other.residues)))
 
     def __rmul__(self, k: int) -> "GroupElement":
-        return GroupElement(
-            self.spec,
-            tuple((k * a) % f for a, f in zip(self.residues, self.spec.factors)),
-        )
+        return GroupElement(self.spec, tuple([k * a for a in self.residues]))
 
     def __mul__(self, k: int) -> "GroupElement":
         return self.__rmul__(k)
@@ -300,22 +293,8 @@ def decompose_sum(spec: GroupSpec, target: GroupElement, n: int) -> tuple[GroupE
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class GroupCatalog:
-    """One canonical representative per isomorphism class up to max_order."""
-
-    max_order: int
-    groups: tuple[GroupSpec, ...]
-
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __len__(self):
-        return len(self.groups)
-
-
-def enumerate_abelian_groups(max_order: int) -> GroupCatalog:
-    """Every abelian group of order in [2, max_order], invariant-factor form."""
+def enumerate_abelian_groups(max_order: int) -> tuple[GroupSpec, ...]:
+    """One invariant-factor form per abelian group of order in [2, max_order]."""
     if max_order < 2:
         raise GroupError("max_order must be >= 2")
     groups: list[GroupSpec] = []
@@ -327,7 +306,7 @@ def enumerate_abelian_groups(max_order: int) -> GroupCatalog:
         for combo in product(*partition_choices):
             groups.append(GroupSpec(_invariant_factors(combo)))
     groups.sort(key=lambda s: (s.order, s.factors))
-    return GroupCatalog(max_order, tuple(groups))
+    return tuple(groups)
 
 
 def _strides(spec: GroupSpec) -> list[int]:

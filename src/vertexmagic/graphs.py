@@ -2,6 +2,9 @@
 the labeling theorems: pendant/support classification, diameter, cycle rank,
 generalized-sun detection, and the shared-neighborhood obstruction.
 
+A graph's identity is n plus its normalised edges, from which its adjacency
+is derived; `Graph.from_edges` adds only the connectivity check.
+
 `pendant_bunches` is the one pendant/support analysis: which vertices are
 pendants, whose they are, and which vertices are supports.  The solver, the
 pendant filler in `labeling` and the characterizations all read it.
@@ -10,7 +13,7 @@ pendant filler in `labeling` and the characterizations all read it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class GraphError(ValueError):
@@ -19,34 +22,40 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple connected graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1, identified by n and its
+    edges: checked for range and loops, written (min, max), deduplicated and
+    sorted.  `adj` and `masks` are derived from them and ignored by == and
+    hash.  It may be disconnected; `from_edges` adds the connectivity check.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    @staticmethod
-    def from_edges(n: int, edges) -> "Graph":
+    def __post_init__(self):
+        n = self.n
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         norm = set()
-        for u, v in edges:
+        for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at {u}")
             norm.add((min(u, v), max(u, v)))
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
-        g = Graph(
-            n,
-            tuple(sorted(norm)),
-            tuple(tuple(sorted(s)) for s in adj),
-            tuple(sum(1 << w for w in s) for s in adj),
-        )
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "masks", tuple(sum(1 << w for w in a) for a in adj))
+
+    @staticmethod
+    def from_edges(n: int, edges) -> "Graph":
+        """The connected graph `Graph(n, edges)`; GraphError if disconnected."""
+        g = Graph(n, edges)
         if not g.is_connected():
             raise GraphError("graph must be connected")
         return g

@@ -76,9 +76,9 @@ class MagicCertificate:
 
 
 def _sum_residues(factors: tuple[int, ...], rows) -> tuple[int, ...]:
-    """Residues of the sum of the residue vectors `rows`, each factor
-    summed on plain ints and reduced once."""
-    return tuple(sum(r[i] for r in rows) % f for i, f in enumerate(factors))
+    """The sum of the residue vectors `rows`, each factor summed on plain
+    ints; the `GroupElement` built from it reduces it."""
+    return tuple(map(sum, zip([0] * len(factors), *rows)))
 
 
 def _check_length(g: Graph, lab: Labeling) -> None:
@@ -114,9 +114,9 @@ def _fields(factors: tuple[int, ...], n: int):
 def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
     """Certificate when all induced weights coincide, None otherwise.
 
-    Residues are reduced as they are packed, so a label built with residues
-    out of range is read as the element they name and cannot spill into a
-    neighbouring field.
+    Residues are reduced as they are packed, as `GroupElement` does too, so
+    that this independent check rests on no other module's invariant: a
+    residue out of range cannot spill into a neighbouring field.
     """
     _check_length(g, lab)
     factors = lab.group.factors
@@ -221,8 +221,7 @@ def parse_labeling(spec: GroupSpec, text: str, n: int) -> Labeling:
             except KeyError:
                 pass  # a label that is no canonical literal
     values: dict[int, GroupElement] = {}
-    chunks = _split_top_level(text) if "(" in text else text.split(",")
-    for chunk in chunks:
+    for chunk in _split_top_level(text):
         chunk = chunk.strip()
         if not chunk:
             continue

@@ -62,7 +62,7 @@ from itertools import product
 from math import gcd
 
 from . import kernels
-from .abelian import GroupCatalog, GroupSpec, cayley_tables, mu_orbits
+from .abelian import GroupSpec, cayley_tables, mu_orbits
 from .graphs import Graph, degrees_same_parity, pendant_bunches
 from .labeling import Labeling, MagicCertificate, fill_pendants, verify_magic
 
@@ -89,14 +89,19 @@ class WitnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str  # "witness" | "exhausted"
+    """A witness when `labeling` is set, else an exhausted search."""
+
     labeling: Labeling | None
     certificate: MagicCertificate | None
     nodes: int
 
     @property
     def is_witness(self) -> bool:
-        return self.status == "witness"
+        return self.labeling is not None
+
+    @property
+    def status(self) -> str:
+        return "witness" if self.labeling is not None else "exhausted"
 
 
 @dataclass(frozen=True)
@@ -298,7 +303,7 @@ def _open_slices(spec: GroupSpec, has_supports: bool, d0: int, facts) -> tuple[i
 
 
 # the outcome when the presolve closes every slice; frozen, so one is shared
-_CLOSED = SolveOutcome("exhausted", None, None, 0)
+_CLOSED = SolveOutcome(None, None, 0)
 
 
 def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
@@ -333,8 +338,8 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
         fill_pendants(g, spec, values, spec.element_at(mu))
         lab = Labeling(spec, tuple(values))
         cert = _certify(g, lab)
-        return SolveOutcome("witness", lab, cert, nodes)
-    return SolveOutcome("exhausted", None, None, nodes)
+        return SolveOutcome(lab, cert, nodes)
+    return SolveOutcome(None, None, nodes)
 
 
 def count_magic(g: Graph, spec: GroupSpec) -> int:
@@ -369,7 +374,9 @@ def z2_magic(g: Graph) -> bool:
     return degrees_same_parity(g)
 
 
-def is_group_vertex_magic_empirical(g: Graph, catalog: GroupCatalog) -> EmpiricalVerdict:
+def is_group_vertex_magic_empirical(
+    g: Graph, catalog: tuple[GroupSpec, ...]
+) -> EmpiricalVerdict:
     """First catalog group with no magic labeling, else survival.
 
     Survival across a finite catalog is evidence, not a proof, of group

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 from .abelian import (
-    GroupCatalog,
     GroupError,
     GroupSpec,
     enumerate_abelian_groups,
@@ -90,13 +89,13 @@ def standard_grid() -> list[FamilyInstance]:
     return out
 
 
-def standard_catalog(max_order: int = 8) -> GroupCatalog:
+def standard_catalog(max_order: int = 8) -> tuple[GroupSpec, ...]:
     return enumerate_abelian_groups(max_order)
 
 
 def crosscheck(
     grid: list[FamilyInstance] | None = None,
-    catalog: GroupCatalog | None = None,
+    catalog: tuple[GroupSpec, ...] | None = None,
 ) -> list[VerdictRecord]:
     """One record per (instance, group); deterministic order and content."""
     grid = standard_grid() if grid is None else grid

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from vertexmagic import abelian
 from vertexmagic.abelian import (
+    GroupElement,
     GroupError,
     GroupSpec,
     InfeasibleDecomposition,
@@ -220,6 +221,20 @@ def test_canonicalization():
 def test_mismatched_groups_error():
     with pytest.raises(MismatchedGroups):
         Z4.element(1) + Z3.element(1)
+
+
+def test_element_reduces_its_residues_at_construction():
+    four = GroupElement(Z4, (4,))
+    assert four == Z4.zero() and four.is_zero()
+    assert hash(four) == hash(Z4.zero()) and str(four) == "0"
+    assert GroupElement(Z2Z4, (3, -3)) == Z2Z4.element((1, 1))
+
+
+def test_element_rejects_a_residue_vector_of_the_wrong_length():
+    with pytest.raises(GroupError, match="length 1 != rank 2"):
+        GroupElement(Z2Z4, (1,))
+    with pytest.raises(GroupError, match="length 1 != rank 2"):
+        Z2Z4.element(1)
 
 
 def test_parse_and_render():

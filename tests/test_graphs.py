@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import deque
 
@@ -40,6 +41,27 @@ def test_constructor_rejections():
 def test_duplicate_edges_collapse():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
     assert g.m == 3
+
+
+def test_graph_is_its_order_and_normalised_edges():
+    g = Graph(3, [(1, 0), (2, 1), (1, 2)])
+    h = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert g.edges == ((0, 1), (1, 2))
+    assert g == h and hash(g) == hash(h)
+    assert g.adj == h.adj == ((1,), (0, 2), (1,))
+    assert g.masks == h.masks == (0b010, 0b101, 0b010)
+    init = [f.name for f in dataclasses.fields(Graph) if f.init]
+    assert init == ["n", "edges"]
+
+
+def test_graph_checks_its_edges_but_not_connectivity():
+    with pytest.raises(GraphError, match="self-loop"):
+        Graph(2, [(0, 0)])
+    with pytest.raises(GraphError, match="out of range"):
+        Graph(2, [(0, 2)])
+    with pytest.raises(GraphError, match="at least one vertex"):
+        Graph(0, [])
+    assert not Graph(2, []).is_connected()
 
 
 def test_diameter_examples():
@@ -185,20 +207,6 @@ def test_graph_file_roundtrip():
 # --- bitset BFS and twin classes against their definitions ---------------
 
 
-def _unchecked_graph(n, edges):
-    """A Graph built field by field, skipping the connectivity check."""
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(
-        n,
-        tuple(sorted(edges)),
-        tuple(tuple(sorted(a)) for a in adj),
-        tuple(sum(1 << w for w in a) for a in adj),
-    )
-
-
 def _queue_bfs(g, source):
     dist = [-1] * g.n
     dist[source] = 0
@@ -234,7 +242,7 @@ def _complete_split(n, k):
 @settings(max_examples=200, deadline=None)
 @given(_simple_graphs())
 def test_eccentricities_and_connectivity_match_a_queue_bfs(graph):
-    g = _unchecked_graph(*graph)
+    g = Graph(*graph)
     dists = [_queue_bfs(g, v) for v in range(g.n)]
     connected = min(dists[0]) >= 0
     assert g.is_connected() == connected
@@ -246,14 +254,14 @@ def test_eccentricities_and_connectivity_match_a_queue_bfs(graph):
 
 
 def test_disconnected_graph_has_no_diameter():
-    g = _unchecked_graph(5, [(0, 1), (1, 2), (3, 4)])
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     assert not g.is_connected()
     with pytest.raises(GraphError, match="disconnected"):
         eccentricities(g)
     with pytest.raises(GraphError, match="disconnected"):
         diameter(g)
-    assert _unchecked_graph(1, []).is_connected()
-    assert eccentricities(_unchecked_graph(1, [])) == [0]
+    assert Graph(1, []).is_connected()
+    assert eccentricities(Graph(1, [])) == [0]
 
 
 def _pairwise_twin_roots(masks):
@@ -275,6 +283,6 @@ def _pairwise_twin_roots(masks):
     ),
 ))
 def test_twin_roots_match_the_pairwise_definition(graph):
-    masks = _unchecked_graph(*graph).masks
+    masks = Graph(*graph).masks
     assert twin_roots(masks) == _pairwise_twin_roots(masks)
 
