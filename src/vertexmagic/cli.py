@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when `crosscheck --strict` finds a nonempty
 discrepancy ledger, 2 on usage errors and on instances beyond a documented
-solver or oracle bound.  A ContractError still escapes as a traceback: it
+solver bound.  A ContractError still escapes as a traceback: it
 signals a bug in a construction recipe, not a bound.
 """
 
@@ -34,7 +34,6 @@ from .labeling import (
     verify_magic,
     weight,
 )
-from .oracle import OracleBoundError
 from .solver import SolverBoundError, count_magic, exists_magic
 from .workbench import (
     audit_families,
@@ -262,7 +261,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (_UsageError, GroupError, GraphError, FamilyError,
-            InvalidLabelingError, SolverBoundError, OracleBoundError) as exc:
+            InvalidLabelingError, SolverBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

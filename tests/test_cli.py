@@ -1,7 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
 
+import vertexmagic
 from vertexmagic import abelian
 from vertexmagic.cli import main
 
@@ -184,3 +189,15 @@ def test_malformed_number_exits_cleanly(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+def test_cli_imports_without_numpy():
+    """No command calls the enumeration oracle, so `vmagic` leaves numpy
+    (about half of its import time) unloaded."""
+    src = str(pathlib.Path(vertexmagic.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, vertexmagic.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

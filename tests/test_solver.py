@@ -248,22 +248,23 @@ def test_naive_count_at_every_split(monkeypatch, spec):
 
 
 def test_naive_count_memory_is_bounded():
-    """Memory follows the block, not the 4^10 candidates of Petersen over Z5
-    (the unblocked enumeration traced a 184 MiB peak here)."""
-    g, z5 = petersen(), parse_group("Z5")
-    cayley_tables(z5)  # cached tables are not the enumeration's
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        assert naive_count(g, z5) == 4
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
+    """Memory follows a block's live candidates, not the 4^10 candidates of
+    Petersen over Z5 (the unblocked enumeration traced a 184 MiB peak here)."""
+    g = petersen()
+    for spec, expected in [(parse_group("Z5"), 4), (Z4, 33), (parse_group("Z2+Z2"), 93)]:
+        cayley_tables(spec)  # cached tables are not the enumeration's
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert naive_count(g, spec) == expected
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2 ** 20, (spec, peak)
 
 
 def test_empirical_catalog_verdicts(catalog8):
@@ -443,6 +444,32 @@ def test_pruned_agrees_with_naive_off_atlas(g):
     for spec in enumerate_abelian_groups(5):
         assert count_magic(g, spec) == naive_count(g, spec)
         assert exists_magic(g, spec).is_witness == naive_exists(g, spec)
+
+
+def _plain_count(g, spec):
+    """Magic labelings by itertools.product over (A∖{0})^V, summing labels
+    with GroupElement arithmetic and no Cayley table."""
+    count = 0
+    for labels in product(spec.nonzero_elements(), repeat=g.n):
+        weights = {sum((labels[u] for u in g.adj[v]), spec.zero()) for v in range(g.n)}
+        count += len(weights) == 1
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(max_n=5))
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(2, [(0, 1)]))
+# a star centred on the last vertex: at a small block the vectorized leaves
+# have scalar weights and the high centre a vector one
+@example(Graph.from_edges(5, [(i, 4) for i in range(4)]))
+def test_naive_count_matches_plain_enumeration(g):
+    for spec in enumerate_abelian_groups(4):
+        expected = _plain_count(g, spec)
+        for block in (1, 4, oracle._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_BLOCK", block)
+                assert naive_count(g, spec) == expected, (g.edges, spec, block)
 
 
 @pytest.mark.parametrize("spec", standard_catalog(8), ids=str)
