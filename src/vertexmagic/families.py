@@ -999,8 +999,10 @@ def _atlas_index(n: int) -> dict[bytes, FamilyInstance]:
     index: dict[bytes, FamilyInstance] = {}
     for inst in _atlas_instances(n):
         try:
-            # uncached: these graphs are used once, for their code, and
-            # would evict instances that are rebuilt from build's cache
+            # uncached: only the code is kept, and canonical_code's memo
+            # keeps it too, so recognizing this labeled graph again (a grid
+            # instance rebuilt by build) searches nothing; in build's cache
+            # these graphs would evict instances that are rebuilt
             g, _ = _build.__wrapped__(inst)
         except (FamilyError, GraphError):
             continue

@@ -7,7 +7,9 @@
 The canonical-form search keeps the code as one integer word per position
 (that position's adjacency bits against the earlier ones), splits each cell
 into twin classes once, places a cell's last twin class in a loop, and
-recurses and sorts only where a cell has two or more classes left.
+recurses and sorts only where a cell has two or more classes left.  Leaves
+that tie the incumbent give automorphisms, which cut the search where they
+fix the placed vertices.
 
 Both labeling searches run one DFS over a pendant-free core.  Each
 support's pendant bunch enters it only through `_bunch_ways`: the search
@@ -42,10 +44,11 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     words pack straight into the code's bytes.
 
     Pruning contract: `tight` is only ever True when the current prefix
-    equals the incumbent's prefix (active frames are ancestors of whichever
-    leaf installed the incumbent, so updates keep True flags truthful); a
-    False flag merely disables pruning, and the final full comparison at
-    each completed leaf keeps the result exact either way.
+    equals the incumbent's prefix.  A leaf that installs an incumbent lies
+    below every active frame, so afterwards each of them is tight: a frame
+    sets its flag again once a child returns with a new incumbent.  A False
+    flag merely disables pruning, and the final full comparison at each
+    completed leaf keeps the result exact either way.
 
     Twin rule: a frame branches on one vertex per twin class of its pool
     (`twin_roots`).  Two unplaced twins have the same bits against the
@@ -53,6 +56,27 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     the cells, so their subtrees hold the same codes.  Without it a bunch of
     k pendants on one support costs k! leaves, since refinement never
     separates them.
+
+    Automorphism rule (McKay & Piperno, "Practical graph isomorphism, II",
+    J. Symbolic Comput. 60, 2014): `at[p]` is the vertex at position p.  A
+    leaf whose code equals the incumbent's maps the vertex at each position
+    to the incumbent's vertex there; that map preserves adjacency, so it is
+    an automorphism, and it is stored.  Refinement is isomorphism-invariant,
+    so every automorphism maps each cell onto itself, and one that fixes
+    every placed vertex maps the orderings below one candidate onto those
+    below its image, code for code.  Two uses follow, and both drop only
+    subtrees whose minimum equals one already searched, so the code is the
+    one the unpruned search returns:
+      - the new automorphism fixes the positions before the first one where
+        the leaf leaves the incumbent's path, and maps the leaf's candidate
+        there onto the incumbent's, searched earlier; so the frames below
+        that position return at once (`rec` returns the position);
+      - a branching frame skips a candidate whose twin class shares an
+        orbit with an explored candidate's, under the stored automorphisms
+        that fix every placed vertex.  Orbits join twin classes, not
+        vertices, because the twin rule exchanges the unplaced members of a
+        class, and they are merged again before each candidate, from the
+        automorphisms stored so far.
 
     Forced runs: each cell is split into its twin classes once, and a class
     hands out its members in cell order.  A position whose cell has a single
@@ -85,7 +109,11 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     live = [len(classes) for classes in stacks]
     pos_of = [n] * n  # n marks an unplaced vertex
     cur = [0] * n
+    at = [0] * n
     best: list[int] | None = None
+    best_at: list[int] = []
+    # stored automorphisms as (image list, bit set of their fixed points)
+    auts: list[tuple[list[int], int]] = []
 
     def word(v: int, pos: int) -> int:
         """v's adjacency bits against positions 0..pos-1, position 0 first."""
@@ -96,8 +124,11 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
                 w |= 1 << (pos - 1 - p)
         return w
 
-    def rec(pos: int, tight: bool) -> None:
-        nonlocal best
+    def rec(pos: int, tight: bool) -> int:
+        """Search below the prefix at[:pos]; returns n, or the position
+        where a leaf equal to the incumbent left the incumbent's path."""
+        nonlocal best, best_at
+        back = n
         run: list[tuple[int, list[int], int]] = []
         while pos < n and live[cell_of_pos[pos]] == 1:
             ci = cell_of_pos[pos]
@@ -116,18 +147,37 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
                 live[ci] = 0
             run.append((ci, stack, v))
             cur[pos] = w
+            at[pos] = v
             pos_of[v] = pos
             pos += 1
         else:
             if pos == n:
                 if best is None or cur < best:
                     best = cur.copy()
+                    best_at = at.copy()
+                elif cur == best:
+                    image = [0] * n
+                    fixed = 0
+                    for p, v in enumerate(at):
+                        image[v] = best_at[p]
+                        if v == best_at[p]:
+                            fixed |= 1 << v
+                    auts.append((image, fixed))
+                    back = 0
+                    while at[back] == best_at[back]:
+                        back += 1
             else:
                 ci = cell_of_pos[pos]
                 ranked = sorted(
                     (word(stack[-1], pos), stack[-1], k)
                     for k, stack in enumerate(stacks[ci]) if stack
                 )
+                # an orbit label per twin root, merged over the first
+                # `merged` automorphisms that fix every placed vertex
+                orbit: list[int] = []
+                merged = 0
+                explored: list[int] = []
+                incumbent = best
                 for w, v, k in ranked:
                     new_tight = tight
                     if best is not None and tight:
@@ -135,21 +185,48 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
                         if w > b:
                             break  # candidates are word-sorted; the rest only grow
                         new_tight = w == b
+                    if explored and auts:
+                        if not orbit:
+                            orbit = list(range(n))
+                            placed = 0
+                            for p in range(pos):
+                                placed |= 1 << at[p]
+                        for image, fixed in auts[merged:]:
+                            if fixed & placed != placed:
+                                continue
+                            for x, y in enumerate(image):
+                                keep, gone = orbit[root[x]], orbit[root[y]]
+                                if keep != gone:
+                                    orbit = [keep if o == gone else o for o in orbit]
+                        merged = len(auts)
+                        label = orbit[root[v]]
+                        if any(orbit[r] == label for r in explored):
+                            continue
+                    explored.append(root[v])
                     stack = stacks[ci][k]
                     stack.pop()
                     if not stack:
                         live[ci] -= 1
                     cur[pos] = w
+                    at[pos] = v
                     pos_of[v] = pos
-                    rec(pos + 1, new_tight)
+                    back = rec(pos + 1, new_tight)
                     pos_of[v] = n
                     stack.append(v)
                     if len(stack) == 1:
                         live[ci] += 1
+                    if back < pos:
+                        break  # this frame lies inside a mapped subtree too
+                    back = n
+                    if best is not incumbent:
+                        # a leaf below installed it, so it extends this prefix
+                        tight = True
+                        incumbent = best
         for ci, stack, v in reversed(run):
             pos_of[v] = n
             stack.append(v)
             live[ci] = 1
+        return back
 
     rec(0, True)
     bits = n * (n - 1) // 2

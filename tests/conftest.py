@@ -1,5 +1,6 @@
 import pytest
 
+from vertexmagic import kernels
 from vertexmagic.abelian import enumerate_abelian_groups
 from vertexmagic.workbench import crosscheck, standard_grid
 
@@ -24,3 +25,17 @@ def campaign(grid, catalog8):
 def campaign16(grid):
     """The standard crosscheck over every group of order <= 16."""
     return crosscheck(grid, enumerate_abelian_groups(16))
+
+
+@pytest.fixture
+def min_code_calls(monkeypatch):
+    """A one-item list counting the test's `kernels.min_code` calls."""
+    calls = [0]
+    real = kernels.min_code
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "min_code", counting)
+    return calls

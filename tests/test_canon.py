@@ -1,11 +1,14 @@
+import gc
+import hashlib
 import itertools
 import random
+import weakref
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexmagic import kernels
+from vertexmagic import canon, kernels
 from vertexmagic.canon import canonical_code, refinement_cells
 from vertexmagic.families import enumerate_connected
 from vertexmagic.graphs import Graph, GraphError
@@ -13,6 +16,22 @@ from vertexmagic.graphs import Graph, GraphError
 
 def cycle(k):
     return Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def searched(g):
+    """The code from the search itself, never from `canonical_code`'s memo."""
+    return kernels.min_code(g.n, g.masks, refinement_cells(g))
 
 
 def test_relabel_invariance_c4():
@@ -56,7 +75,7 @@ def test_permutation_invariance(seed, n):
     g = _random_connected(rng, n)
     perm = list(range(n))
     rng.shuffle(perm)
-    assert canonical_code(g) == canonical_code(g.relabeled(perm))
+    assert searched(g) == searched(g.relabeled(perm))
 
 
 def test_codes_separate_nonisomorphic_small():
@@ -121,7 +140,7 @@ def test_matches_brute_force_on_enumerated_graphs():
     ]
     assert len(graphs) > 100
     for g in graphs:
-        assert canonical_code(g) == _brute_force_code(g)
+        assert searched(g) == _brute_force_code(g)
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -135,7 +154,22 @@ def test_matches_brute_force_on_random_graphs():
             n, [(0, v) for v in range(1, n)] + [(1, v) for v in range(2, n)]
         ))
     for g in graphs:
-        assert canonical_code(g) == _brute_force_code(g)
+        assert searched(g) == _brute_force_code(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle(k) for k in range(3, 9)]
+    + [complete_bipartite(3, 3), complete_bipartite(4, 4)],
+    ids=[f"C{k}" for k in range(3, 9)] + ["K3,3", "K4,4"],
+)
+def test_vertex_transitive_graphs_match_brute_force(g):
+    # one cell and many equal leaves, where automorphism pruning skips the
+    # most; relabeled too, so the pruned branches differ
+    assert searched(g) == _brute_force_code(g)
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    assert searched(g.relabeled(perm)) == searched(g)
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +184,7 @@ def _audit_graphs():
 def test_relabel_invariance_over_audit_enumeration(data):
     g = data.draw(st.sampled_from(_audit_graphs()))
     perm = data.draw(st.permutations(range(g.n)))
-    assert canonical_code(g.relabeled(perm)) == canonical_code(g)
+    assert searched(g.relabeled(perm)) == searched(g)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +237,113 @@ def test_refinement_cells_match_the_reference_loop():
     graphs += [_random_connected(rng, rng.randint(2, 12)) for _ in range(200)]
     for g in graphs:
         assert refinement_cells(g) == _reference_cells(g)
+
+
+def test_pinned_code_digest():
+    """The codes of the audit's graphs, C3-C12, Petersen and K5,5, hashed
+    in that order; computed before automorphism pruning was added."""
+    graphs = list(_audit_graphs()) + [cycle(k) for k in range(3, 13)]
+    graphs += [petersen(), complete_bipartite(5, 5)]
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(searched(g))
+    assert len(graphs) == 580
+    assert h.hexdigest() == (
+        "c23571b94fa7232055dd97c61aea18d32c0e1817c64296ed3db95b9d29a949c9"
+    )
+
+
+def circulants(n_max):
+    """Every connected circulant graph on 4..n_max vertices, by jump set."""
+    for n in range(4, n_max + 1):
+        for r in range(1, n // 2 + 1):
+            for jumps in itertools.combinations(range(1, n // 2 + 1), r):
+                edges = {
+                    tuple(sorted((i, (i + s) % n))) for i in range(n) for s in jumps
+                }
+                try:
+                    yield Graph.from_edges(n, edges)
+                except GraphError:
+                    continue
+
+
+def test_pinned_circulant_code_digest():
+    """Circulants have one cell and large automorphism groups, so the
+    search stores and applies the most automorphisms on them.  Each is
+    coded as built and relabeled; computed before automorphism pruning was
+    added."""
+    rng = random.Random(2303)
+    h = hashlib.sha256()
+    count = 0
+    for g in circulants(12):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for x in (g, g.relabeled(perm)):
+            h.update(searched(x))
+            count += 1
+    assert count == 310
+    assert h.hexdigest() == (
+        "aa688a0ca492f2890ca0ee1ef5e4cbaa476eb1c18cb9c77b4689c3b8989f5c3b"
+    )
+
+
+# --- the code memo ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (cycle(6), Graph.from_edges(6, [(i, i + 1) for i in range(5)])),
+        (Graph(1, []), Graph(2, [])),
+        (cycle(5), Graph.from_edges(5, list(cycle(5).edges) + [(0, 2)])),
+    ],
+    ids=["C6-P6", "K1-2K1", "C5-chorded"],
+)
+def test_memo_keys_separate_graphs(min_code_calls, a, b):
+    # one edge apart, or equal masks on different vertex counts
+    assert canon._memo_key(a) != canon._memo_key(b)
+    canon._codes.clear()
+    assert canonical_code(a) == searched(a)
+    assert canonical_code(b) == searched(b)
+    assert min_code_calls[0] == 4  # each code searched once by canonical_code
+
+
+def test_memo_hit_returns_the_searched_code(min_code_calls):
+    g = petersen()
+    canon._codes.clear()
+    first = canonical_code(g)
+    # an equal graph built anew hits; a relabeled one is another key
+    assert canonical_code(Graph.from_edges(g.n, g.edges)) == first
+    assert min_code_calls[0] == 1
+    perm = list(range(g.n))[::-1]
+    assert canonical_code(g.relabeled(perm)) == first
+    assert min_code_calls[0] == 2
+    assert first == searched(g)
+
+
+def test_memo_keeps_no_graph_alive():
+    g = Graph.from_edges(7, [(0, v) for v in range(1, 7)] + [(1, 2)])
+    ref = weakref.ref(g)
+    canonical_code(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    assert all(
+        type(k) is int and type(v) is bytes for k, v in canon._codes.items()
+    )
+
+
+def test_memo_is_bounded_first_in_first_out(monkeypatch, min_code_calls):
+    monkeypatch.setattr(canon, "CODE_MEMO_SIZE", 3)
+    canon._codes.clear()
+    graphs = [cycle(k) for k in range(3, 8)]
+    for g in graphs:
+        canonical_code(g)
+    assert len(canon._codes) == 3
+    assert list(canon._codes) == [canon._memo_key(g) for g in graphs[2:]]
+    assert min_code_calls[0] == 5
+    assert canonical_code(graphs[0]) == searched(graphs[0])
+    assert min_code_calls[0] == 7  # evicted, so searched again
 
 
 def test_min_code_raises_without_a_complete_ordering():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vertexmagic import abelian, families
+from vertexmagic import abelian, canon, families
 from vertexmagic.abelian import GroupError, enumerate_abelian_groups, parse_group
 from vertexmagic.families import FamilyError, parse_instance
 from vertexmagic.workbench import (
@@ -297,24 +297,37 @@ def test_audit_refuses_scopes_without_graphs(bounds):
         audit_families(*bounds)
 
 
-def test_default_audit_canonical_searches_pinned(monkeypatch):
-    """The default audit with a cold atlas index runs `kernels.min_code`
-    2,111 times: one growth per cycle rank serves every diameter (four
-    unicyclic growths ran 2,273).  A count, so it repeats exactly."""
-    from vertexmagic import kernels
-
-    calls = 0
-    real = kernels.min_code
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(kernels, "min_code", counting)
+def _cold_canon():
+    """Forget every canonical code: the code memo and the atlas indexes."""
+    canon._codes.clear()
     families._atlas_index.cache_clear()
+
+
+def test_default_audit_canonical_searches_pinned(min_code_calls):
+    """The default audit with a cold code memo and atlas index runs
+    `kernels.min_code` 1,918 times: one growth per cycle rank serves every
+    diameter (four unicyclic growths ran 2,273), and the memo codes each
+    labeled graph once (2,111 searches without it).  A count, so it repeats
+    exactly."""
+    _cold_canon()
     assert audit_families().clean
-    assert calls == 2111
+    assert min_code_calls[0] == 1918
+
+
+def test_classify_after_the_audit_runs_no_canonical_search(min_code_calls, grid):
+    """The audit's atlas index codes every grid graph with n <= 10 as the
+    same labeled graph that classify recognizes, so classify reads each code
+    from the memo."""
+    from vertexmagic.characterize import classify_group_vertex_magic
+
+    graphs = [g for g in (families.build(inst)[0] for inst in grid) if g.n <= 10]
+    assert len(graphs) == 421
+    _cold_canon()
+    assert audit_families().clean
+    audited = min_code_calls[0]
+    for g in graphs:
+        classify_group_vertex_magic(g)
+    assert min_code_calls[0] == audited
 
 
 def test_audit_documents_exceptions():
