@@ -13,6 +13,7 @@ import os
 import sys
 
 from .abelian import (
+    LITERAL_TABLE_MAX_ORDER,
     GroupError,
     enumerate_abelian_groups,
     exponent,
@@ -71,6 +72,12 @@ def _cmd_group(args) -> int:
             print(spec)
         return 0
     spec = parse_group(args.spec)
+    # involutions and squares list every element of the group
+    if spec.order > LITERAL_TABLE_MAX_ORDER:
+        raise _UsageError(
+            f"|A| = {spec.order} exceeds the group info bound "
+            f"{LITERAL_TABLE_MAX_ORDER}"
+        )
     canon = spec.canonical()
     print(f"group: {spec}")
     print(f"canonical: {canon}")

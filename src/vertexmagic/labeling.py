@@ -15,7 +15,9 @@ Cayley tables of `abelian.cayley_tables`, which the search and the oracle
 use, so it stays an independent check of both.
 
 `fill_pendants` completes a partial labeling by the decomposition lemma; the
-solver and the constructive recipes both finish their witnesses with it.
+constructive recipes finish their labelings with it.  The solver fills its
+witnesses' bunches by the same rule on the Cayley tables, which this module
+does not import.
 
 `parse_labeling` reads the literal `v0=1,v1=(1,0),...` that `Labeling.render`
 writes, in which every vertex is named exactly once.  The rendered literal

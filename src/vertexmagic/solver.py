@@ -21,7 +21,9 @@ support vertex's label to mu, propagates "last unlabeled neighbor" forcings
 (rejecting zero), prunes any completed neighborhood whose weight misses mu,
 and aggregates each support's pendant bunch by the number of its nonzero
 decompositions (`kernels._bunch_ways`, the decomposition lemma counted).
-A witness's bunches are then filled by `labeling.fill_pendants`.
+A witness's bunches are then filled on the Cayley tables, each with the
+lex-least nonzero decomposition `abelian.decompose_sum` would give
+(`_bunch_labels`), and `labeling.verify_magic` certifies the labeling.
 K1 and K2 follow the same rule: for n <= 2 the core is every vertex, so the
 two ends of K2, each the other's support, are searched and not aggregated.
 
@@ -44,9 +46,11 @@ record stay the same and `nodes` can only fall.
 
 The core system and its facts are computed once per graph, whatever the
 group, and cached as one plan (`_plan`); the slices left open are computed
-once per group and set of facts (`_open_slices`).  A call then pays for the
-bounds, the plan lookup and, when a slice is open, the Cayley tables and
-the open slices' searches.
+once per group and slice key (`_open_slices`): whether the graph has a
+support, d0, and the distinct (c, b) pairs of its facts, which is all
+`_closed` reads, so graphs whose facts differ only in their vertices share
+them.  A call then pays for the bounds, the plan lookup and, when a slice
+is open, the Cayley tables and the open slices' searches.
 `count_magic` searches the same plan and open slices to the end: a closed
 slice has no labeling to count.
 
@@ -64,7 +68,7 @@ from math import gcd
 from . import kernels
 from .abelian import GroupSpec, cayley_tables, mu_orbits
 from .graphs import Graph, degrees_same_parity, pendant_bunches
-from .labeling import Labeling, MagicCertificate, fill_pendants, verify_magic
+from .labeling import Labeling, MagicCertificate, verify_magic
 
 EXISTS_MAX_N = 13
 # The m*m Cayley table (`abelian.cayley_tables`) and the Aut(A)-orbits of
@@ -228,12 +232,14 @@ def _lattice_facts(neigh, pend, support) -> tuple[int, tuple[tuple[int, ...], ..
 # grid (759 instances, ~0.9 KB each), not just the last few graphs
 @lru_cache(maxsize=1024)
 def _plan(g: Graph):
-    """(core, neigh, pend, support, d0, facts), computed once per graph
+    """(core, neigh, pend, support, d0, facts, key), computed once per graph
     whatever the group: the vertices the search labels, their core
     neighbours (as core indices), the size of their pendant bunch, whether
-    they are supports, and the presolve's facts on that core system
-    (`_lattice_facts`).  Tuples and ints only, so no caller can change a
-    cached plan."""
+    they are supports, the presolve's facts on that core system
+    (`_lattice_facts`), and the slice key.  The key is what `_closed` reads:
+    whether there is a support, d0, and the distinct (c, b) pairs of the
+    facts, sorted, without their vertices.  Tuples and ints only, so no
+    caller can change a cached plan."""
     bunches = pendant_bunches(g)
     # the core is every vertex but the pendants; the two ends of K2 support
     # each other, so for n <= 2 nothing is aggregated
@@ -244,7 +250,9 @@ def _plan(g: Graph):
     # neighbours outside the core are the aggregated pendant bunch
     pend = tuple([g.degree(v) - len(nv) for v, nv in zip(core, neigh)])
     support = tuple([bool(bunches[v]) for v in core])
-    return (core, neigh, pend, support, *_lattice_facts(neigh, pend, support))
+    d0, facts = _lattice_facts(neigh, pend, support)
+    key = (any(support), d0, tuple(sorted({(c, b) for _, c, b in facts})))
+    return core, neigh, pend, support, d0, facts, key
 
 
 def lattice_facts(g: Graph) -> tuple[int, dict[int, int]]:
@@ -252,7 +260,7 @@ def lattice_facts(g: Graph) -> tuple[int, dict[int, int]]:
     i.e. d0 * mu = 0 and x_v = k_v * mu in every magic labeling over any
     group, for the core vertices that are no supports (a support's label is
     mu)."""
-    core, _, _, _, d0, facts = _plan(g)
+    core, _, _, _, d0, facts, _ = _plan(g)
     return d0, {core[v]: -b % d0 if d0 else -b for v, c, b in facts if c == 1}
 
 
@@ -261,7 +269,7 @@ def torsion_facts(g: Graph) -> dict[int, tuple[int, int]]:
     c >= 2 and c * x_v + b * mu = 0 in every magic labeling over any group.
     Empty when d0 and the unit facts close every slice already (see
     `_lattice_facts`)."""
-    core, _, _, _, _, facts = _plan(g)
+    core, _, _, _, _, facts, _ = _plan(g)
     return {core[v]: (c, b) for v, c, b in facts if c >= 2}
 
 
@@ -277,29 +285,50 @@ def _refutes(c: int, b: int, factors: tuple[int, ...], mu) -> bool:
     return not any(ts) and all(gf == 1 for gf in gs)
 
 
-def _closed(factors: tuple[int, ...], mu, d0: int, facts) -> bool:
-    """Whether the facts refute this mu (its residues): d0 * mu != 0, or
-    some fact c * x_v + b * mu = 0 leaves x_v no nonzero value."""
-    return _refutes(0, d0, factors, mu) or any(
-        _refutes(c, b, factors, mu) for _, c, b in facts
+def _closed(factors: tuple[int, ...], mu, key) -> bool:
+    """Whether the plan's slice key refutes this mu (its residues): mu = 0
+    on a graph with a support vertex, whose label is mu and is the weight
+    of its pendant; d0 * mu != 0; or some pair (c, b) for which
+    c * x + b * mu = 0 leaves x no nonzero value."""
+    has_support, d0, pairs = key
+    return (has_support and not any(mu)) or _refutes(0, d0, factors, mu) or any(
+        _refutes(c, b, factors, mu) for c, b in pairs
     )
 
 
-# keyed on the facts, not on the graph, so graphs that share them share the
-# slices; the standard grid over the catalog of order <= 16 has 1,152 keys
+# keyed on the (c, b) pairs, not on the graph or the facts' vertices, so
+# graphs whose facts refute alike share the slices; the standard grid over
+# the catalog of order <= 16 has 28 keys, 672 with the 24 groups
 @lru_cache(maxsize=4096)
-def _open_slices(spec: GroupSpec, has_supports: bool, d0: int, facts) -> tuple[int, ...]:
-    """The least mu of each Aut(A)-orbit, ascending, that the facts do not
-    refute; mu = 0 is left out when the graph has a support vertex, whose
-    label is mu and is the weight of its pendant."""
+def _open_slices(spec: GroupSpec, key) -> tuple[int, ...]:
+    """The least mu of each Aut(A)-orbit, ascending, that the slice key
+    (`_plan`) does not refute."""
     rep, _ = mu_orbits(spec)
     # product runs through the residues in index order, as element_at does
     residues = product(*[range(f) for f in spec.factors])
     return tuple([
         mu for (mu, r), x in zip(enumerate(rep), residues)
-        if r == mu and not (has_supports and mu == 0)
-        and not _closed(spec.factors, x, d0, facts)
+        if r == mu and not _closed(spec.factors, x, key)
     ])
+
+
+def _bunch_labels(m: int, add, neg, target: int, k: int) -> list[int]:
+    """k nonzero element indices summing to target on the Cayley tables,
+    lex-least as `abelian.decompose_sum` picks them: index 1 for every part
+    but the last two, then the first nonzero index other than what is left,
+    then what is left; over Z2, all ones.  The caller has checked that the
+    bunch is feasible, and `verify_magic` certifies the labeling."""
+    if m == 2:
+        return [1] * k
+    parts = [1] * (k - 2)
+    for _ in parts:
+        target = add[target * m + neg[1]]
+    if k >= 2:
+        first = 2 if target == 1 else 1
+        parts.append(first)
+        target = add[target * m + neg[first]]
+    parts.append(target)
+    return parts
 
 
 # the outcome when the presolve closes every slice; frozen, so one is shared
@@ -316,9 +345,9 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
         raise SolverBoundError(
             f"|A| = {spec.order} exceeds the solver bound {EXISTS_MAX_ORDER}"
         )
-    core, neigh, pend, support, d0, facts = _plan(g)
+    core, neigh, pend, support, _, _, key = _plan(g)
     # slices the presolve closes are skipped, at 0 nodes
-    slices = _open_slices(spec, any(support), d0, facts)
+    slices = _open_slices(spec, key)
     if not slices:
         return _CLOSED
     m, add, neg = cayley_tables(spec)
@@ -333,10 +362,20 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
             continue
         values: list = [None] * g.n
         for v, x in zip(core, labels):
-            values[v] = spec.element_at(x)
-        # by the bunch feasibility the search checked, this cannot fail
-        fill_pendants(g, spec, values, spec.element_at(mu))
-        lab = Labeling(spec, tuple(values))
+            values[v] = x
+        # each bunch, in ascending support and pendant order, completes its
+        # support's weight to mu, as `labeling.fill_pendants` would
+        for v, nv, k in zip(core, neigh, pend):
+            if k:
+                partial = 0
+                for u in nv:
+                    partial = add[partial * m + labels[u]]
+                bunch = [w for w in g.adj[v] if values[w] is None]
+                rest = add[mu * m + neg[partial]]
+                for w, x in zip(bunch, _bunch_labels(m, add, neg, rest, k)):
+                    values[w] = x
+        elems = spec.elements()
+        lab = Labeling(spec, tuple([elems[x] for x in values]))
         cert = _certify(g, lab)
         return SolveOutcome(lab, cert, nodes)
     return SolveOutcome(None, None, nodes)
@@ -358,9 +397,9 @@ def count_magic(g: Graph, spec: GroupSpec) -> int:
         )
     m, add, neg = cayley_tables(spec)
     _, size = mu_orbits(spec)
-    core, neigh, pend, support, d0, facts = _plan(g)
+    core, neigh, pend, support, _, _, key = _plan(g)
     total = 0
-    for mu in _open_slices(spec, any(support), d0, facts):
+    for mu in _open_slices(spec, key):
         forced = [mu if s else -1 for s in support]
         cnt, _ = kernels.search_count(
             len(core), neigh, pend, forced, m, add, neg, mu

@@ -40,6 +40,8 @@ GRID_HUBS = ((1,), (2,), (1, 1), (2, 2))
 GRID_MAX_N = 13
 GRID_CYCLES = range(3, 10)
 _THEOREMS = frozenset((MAGIC, NOT_MAGIC, NOT_COVERED))
+# json.dumps with these settings, without building an encoder per record
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class VerdictRecord:
 
     def to_json(self) -> str:
         # every field is a flat value, so the instance dict needs no deep copy
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(vars(self))
 
     @staticmethod
     def from_json(text: str) -> "VerdictRecord":
@@ -104,21 +106,23 @@ def crosscheck(
     records = []
     for inst in grid:
         g, _ = build(inst)
+        text = inst.render()
         for spec, name in zip(catalog, names):
-            records.append(_one_record(inst, g, spec, name))
+            records.append(_one_record(inst, text, g, spec, name))
     return records
 
 
 def _one_record(
-    inst: FamilyInstance, g: Graph, spec: GroupSpec, group: str
+    inst: FamilyInstance, text: str, g: Graph, spec: GroupSpec, group: str
 ) -> VerdictRecord:
-    """The record of one pair; `group` is the canonical name of spec."""
+    """The record of one pair; `text` is the rendered instance and `group`
+    the canonical name of spec."""
     verdict = predict(inst, spec)
     try:
         out = exists_magic(g, spec)
     except SolverBoundError:
         return VerdictRecord(
-            instance=inst.render(), n=g.n, group=group,
+            instance=text, n=g.n, group=group,
             theorem=verdict.outcome, rule=verdict.rule, oracle="skipped",
             witness=None, mu=None, nodes=0, agree=None,
             note="instance beyond the solver bound",
@@ -126,7 +130,7 @@ def _one_record(
     witness = out.labeling.render() if out.labeling is not None else None
     mu = str(out.certificate.constant) if out.certificate is not None else None
     return VerdictRecord(
-        instance=inst.render(), n=g.n, group=group,
+        instance=text, n=g.n, group=group,
         theorem=verdict.outcome, rule=verdict.rule, oracle=out.status,
         witness=witness, mu=mu, nodes=out.nodes,
         agree=_agreement(verdict.outcome, out.status), note=verdict.detail,

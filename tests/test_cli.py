@@ -23,6 +23,26 @@ def test_group_info(capsys):
     assert "order: 4" in out and "squares: none" in out
 
 
+def test_group_info_refuses_groups_past_the_bound(monkeypatch, capsys):
+    """Listing involutions and squares enumerates the group, so an order
+    past the bound is refused with one error line before any element is
+    built."""
+
+    def refuse(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(abelian, "_elements_of", refuse)
+    bound = abelian.LITERAL_TABLE_MAX_ORDER
+    assert main(["group", "info", f"Z{bound + 1}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bound) in err
+    monkeypatch.undo()
+    assert main(["group", "info", f"Z{bound}"]) == 0
+    assert f"order: {bound}" in capsys.readouterr().out
+
+
 def test_family_build_and_dot(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert main(["family", "build", "M11(0,0)", "--dot", str(dot)]) == 0

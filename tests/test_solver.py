@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from vertexmagic import kernels, labeling, oracle
 from vertexmagic.abelian import (
+    GroupError,
     cayley_tables,
     decompose_sum,
     enumerate_abelian_groups,
@@ -639,11 +640,11 @@ def test_no_witness_of_the_order_16_crosscheck_is_closed(campaign16):
         spec = parse_group(rec.group)
         lab = parse_labeling(spec, rec.witness, g.n)
         mu = parse_element(spec, rec.mu)
-        core, _, _, _, d0, facts = solver._plan(g)
+        core, _, _, _, d0, facts, key = solver._plan(g)
         assert (d0 * mu).is_zero(), rec
         for v, c, b in facts:
             assert (c * lab[core[v]] + b * mu).is_zero(), (rec, v)
-        assert not solver._closed(spec.factors, mu.residues, d0, facts), rec
+        assert not solver._closed(spec.factors, mu.residues, key), rec
 
 
 def _triangle_with_tail():
@@ -711,7 +712,80 @@ def test_solver_caches_are_bounded_and_plans_immutable(grid):
     graphs += [Graph.from_edges(1, []), Graph.from_edges(2, [(0, 1)])]
     for g in graphs:
         plan = solver._plan(g)
-        assert len(plan) == 6 and flat(plan), g.edges
+        assert len(plan) == 7 and flat(plan), g.edges
+        _, _, _, support, d0, facts, key = plan
+        # the slice key drops the facts' vertices: (has a support, d0, the
+        # sorted distinct (c, b) pairs)
+        pairs = tuple(sorted({(c, b) for _, c, b in facts}))
+        assert key == (any(support), d0, pairs), g.edges
+
+
+def _relabeled(g, perm):
+    """g with vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_open_slices_are_shared_by_facts_on_other_vertices():
+    # M10(0,0) reversed has its four torsion facts on other vertices, so the
+    # facts differ, while the (c, b) pairs and the slices are the same
+    g, _ = build(parse_instance("M10(0,0)"))
+    h = _relabeled(g, list(reversed(range(g.n))))
+    assert torsion_facts(g) != torsion_facts(h)
+    assert solver._plan(g)[5] != solver._plan(h)[5]
+    assert solver._plan(g)[6] == solver._plan(h)[6]
+    spec = parse_group("Z8")
+    solver._open_slices.cache_clear()
+    assert exists_magic(g, spec).status == exists_magic(h, spec).status
+    info = solver._open_slices.cache_info()
+    assert info.misses == 1 and info.currsize == 1
+
+
+def test_open_slices_keys_over_the_grid(grid):
+    """One slice entry per group and distinct slice key: 28 keys on the
+    standard grid, 672 entries over the 24 groups of order <= 16."""
+    catalog = standard_catalog(16)
+    solver._open_slices.cache_clear()
+    for inst in grid:
+        g, _ = build(inst)
+        for spec in catalog:
+            exists_magic(g, spec)
+    info = solver._open_slices.cache_info()
+    assert info.misses == info.currsize == 672
+
+
+@pytest.mark.parametrize("spec", enumerate_abelian_groups(16), ids=str)
+def test_bunch_labels_follow_decompose_sum(spec):
+    """The witness completion on indices picks the parts
+    `abelian.decompose_sum` picks, for every target and bunch sizes 1-4;
+    where no decomposition exists (0 as one part, a parity miss over Z2)
+    its parts are no decomposition either, so `verify_magic` rejects them."""
+    m, add, neg = cayley_tables(spec)
+    elems = spec.elements()
+    for target, k in product(range(m), range(1, 5)):
+        parts = solver._bunch_labels(m, add, neg, target, k)
+        assert len(parts) == k
+        total = 0
+        for x in parts:
+            total = add[total * m + x]
+        try:
+            want = decompose_sum(spec, elems[target], k)
+        except GroupError:
+            assert 0 in parts or total != target, (spec, target, k)
+            continue
+        assert [elems[x] for x in parts] == list(want), (spec, target, k)
+        assert total == target and 0 not in parts
+
+
+def test_bunch_labels_corner_cases():
+    m, add, neg = cayley_tables(Z3)
+    # a pair summing to 1: 1 + 0 is no choice, so the first part is 2
+    assert solver._bunch_labels(m, add, neg, 1, 2) == [2, 2]
+    assert solver._bunch_labels(m, add, neg, 2, 2) == [1, 1]
+    assert solver._bunch_labels(m, add, neg, 0, 3) == [1, 1, 1]
+    # over Z2 every part is 1, and the parity of k must match the target
+    m, add, neg = cayley_tables(Z2)
+    assert solver._bunch_labels(m, add, neg, 1, 3) == [1, 1, 1]
+    assert solver._bunch_labels(m, add, neg, 0, 4) == [1, 1, 1, 1]
 
 
 def _imported_names(module) -> set[str]:

@@ -210,7 +210,7 @@ def test_inconsistent_row_fails_recheck(group, field, tampered):
     (Z2+Z2) and skipped (Z512) rows of G2(1,0)."""
     inst = parse_instance("G2(1,0)")
     g, _ = families.build(inst)
-    rec = _one_record(inst, g, parse_group(group), group)
+    rec = _one_record(inst, inst.render(), g, parse_group(group), group)
     expected = {"Z2": "exhausted", "Z2+Z2": "witness", "Z512": "skipped"}
     assert rec.oracle == expected[group]
     assert recheck_record(rec)
@@ -221,7 +221,7 @@ def test_skipped_row_rechecks_by_the_solver_bound():
     """A skipped row passes only because the solver refuses its pair."""
     inst = parse_instance("C4")
     g, _ = families.build(inst)
-    skipped = _one_record(inst, g, parse_group("Z512"), "Z512")
+    skipped = _one_record(inst, inst.render(), g, parse_group("Z512"), "Z512")
     assert skipped.oracle == "skipped"
     assert recheck_record(skipped)
     assert not recheck_record(VerdictRecord(**{**vars(skipped), "oracle": "exhausted"}))
@@ -269,11 +269,17 @@ def test_campaign_and_audit_unchanged(campaign):
 
 
 def test_order_16_crosscheck_nodes_pinned(campaign16):
-    """The crosscheck over every group of order <= 16: its size, and its
-    search nodes (63,789 before the torsion facts)."""
+    """The crosscheck over every group of order <= 16: its size, its
+    search nodes (63,789 before the torsion facts), and its records without
+    `nodes`, whose witnesses over Z9-Z16, Z4+Z4, Z2+Z8, Z2+Z2+Z4 and Z2^4
+    the order-8 digest never sees; pinned before the solver filled its
+    witnesses' pendant bunches on the Cayley tables."""
     assert len(campaign16) == 18_216
     assert sum(rec.nodes for rec in campaign16) == 22_230
     assert discrepancies(campaign16) == []
+    assert _without_nodes(rec.to_json() for rec in campaign16) == (
+        "aeff696d3edbd04815d17072fc49bbd0c4784b28bae0b218cd913a8f5058acb7"
+    )
 
 
 def test_audit_clean():
