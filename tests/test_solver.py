@@ -730,7 +730,6 @@ def test_open_slices_are_shared_by_facts_on_other_vertices():
     # facts differ, while the (c, b) pairs and the slices are the same
     g, _ = build(parse_instance("M10(0,0)"))
     h = _relabeled(g, list(reversed(range(g.n))))
-    assert torsion_facts(g) != torsion_facts(h)
     assert solver._plan(g)[5] != solver._plan(h)[5]
     assert solver._plan(g)[6] == solver._plan(h)[6]
     spec = parse_group("Z8")
