@@ -66,18 +66,25 @@ def _load_target(target: str):
     return g, inst
 
 
+def _check_order(name: str, order: int, command: str) -> None:
+    """Refuse a group order past the bound of a command that lists every
+    element of a group, or every group up to an order."""
+    if order > LITERAL_TABLE_MAX_ORDER:
+        raise _UsageError(
+            f"{name} = {order} exceeds the {command} bound "
+            f"{LITERAL_TABLE_MAX_ORDER}"
+        )
+
+
 def _cmd_group(args) -> int:
     if args.action == "list":
+        _check_order("--max-order", args.max_order, "group list")
         for spec in enumerate_abelian_groups(args.max_order):
             print(spec)
         return 0
     spec = parse_group(args.spec)
     # involutions and squares list every element of the group
-    if spec.order > LITERAL_TABLE_MAX_ORDER:
-        raise _UsageError(
-            f"|A| = {spec.order} exceeds the group info bound "
-            f"{LITERAL_TABLE_MAX_ORDER}"
-        )
+    _check_order("|A|", spec.order, "group info")
     canon = spec.canonical()
     print(f"group: {spec}")
     print(f"canonical: {canon}")
@@ -151,6 +158,8 @@ def _cmd_solve(args) -> int:
 def _cmd_predict(args) -> int:
     inst = parse_instance(args.instance)
     spec = parse_group(args.group)
+    # the constructive recipes list every element of the group
+    _check_order("|A|", spec.order, "predict")
     verdict = predict(inst, spec)
     print(f"{verdict.outcome} [{verdict.rule}]"
           + (f" {verdict.detail}" if verdict.detail else ""))
@@ -171,6 +180,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    # every group of the catalog goes through predict
+    _check_order("--max-order", args.max_order, "crosscheck")
     catalog = standard_catalog(args.max_order)
     records = crosscheck(catalog=catalog)
     ledger = discrepancies(records)

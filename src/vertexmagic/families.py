@@ -809,17 +809,20 @@ def _resolve_family_name(name: str, arity: int) -> str:
 
 # --- enumeration -------------------------------------------------------------
 
-def _compositions(total: int, slots: int):
-    """All tuples of `slots` nonnegative ints summing to `total`."""
+def _compositions(total: int, slots: int, max_part: int | None = None):
+    """All tuples of `slots` nonnegative ints summing to `total`, with no
+    part above `max_part` when it is given."""
+    top = total if max_part is None else min(total, max_part)
     if slots == 0:
         if total == 0:
             yield ()
         return
     if slots == 1:
-        yield (total,)
+        if total <= top:
+            yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
+    for first in range(top + 1):
+        for rest in _compositions(total - first, slots - 1, max_part):
             yield (first,) + rest
 
 
@@ -952,11 +955,22 @@ def classes_by_diameter(
 
 # --- recognition -------------------------------------------------------------
 
-def _instances_of_def(d: _Def, n: int):
+def _instances_of_def(
+    d: _Def,
+    n: int,
+    max_param: int | None = None,
+    hubs: tuple[tuple[int, ...], ...] | None = None,
+):
     """Every instance of d on n vertices, once per drawing symmetry class:
     for each hub option (by hub size, then child count, then the children's
     pendant counts descending), the canonical pendant counts in composition
-    order.  Instances the constructor rejects are not filtered out."""
+    order.  Instances the constructor rejects are not filtered out.
+
+    `max_param` bounds every pendant count and `hubs` lists the hub options
+    to keep.  A canonical tuple is a permutation of its composition, so the
+    bounds drop exactly the instances a filter on the output would drop and
+    keep the others in the same order.
+    """
     budget = n - len(d.roles)
     if budget < 0:
         return
@@ -970,12 +984,14 @@ def _instances_of_def(d: _Def, n: int):
             for part in _partitions(hub_total - k)
             if len(part) == k
         ]
+    if hubs is not None:
+        hub_options = [hub for hub in hub_options if hub in hubs]
     for hub in hub_options:
         rest = budget - (len(hub) + sum(hub))
         if rest < 0:
             continue
         seen = set()
-        for comp in _compositions(rest, len(d.slots)):
+        for comp in _compositions(rest, len(d.slots), max_param):
             canon = _canon_params(d, comp)
             if canon in seen:
                 continue

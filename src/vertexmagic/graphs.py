@@ -2,8 +2,12 @@
 the labeling theorems: pendant/support classification, diameter, cycle rank,
 generalized-sun detection, and the shared-neighborhood obstruction.
 
-A graph's identity is n plus its normalised edges, from which its adjacency
-is derived; `Graph.from_edges` adds only the connectivity check.
+A graph's identity is n plus its normalised edges.  Its adjacency lists,
+adjacency bitmasks and degrees are derived once, at construction, in one
+pass over the sorted edges; `Graph.from_edges` adds only the connectivity
+check.  The predicates work on the bitmasks: breadth-first search expands
+whole frontiers at a time, and the shared-neighborhood obstruction is a
+subset test between masks.
 
 `pendant_bunches` is the one pendant/support analysis: which vertices are
 pendants, whose they are, and which vertices are supports.  The solver, the
@@ -24,14 +28,16 @@ class GraphError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..n-1, identified by n and its
     edges: checked for range and loops, written (min, max), deduplicated and
-    sorted.  `adj` and `masks` are derived from them and ignored by == and
-    hash.  It may be disconnected; `from_edges` adds the connectivity check.
+    sorted.  `adj`, `masks` and `degrees` are derived from them and ignored
+    by == and hash.  It may be disconnected; `from_edges` adds the
+    connectivity check.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -43,14 +49,21 @@ class Graph:
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at {u}")
-            norm.add((min(u, v), max(u, v)))
+            norm.add((u, v) if u < v else (v, u))
+        edges = tuple(sorted(norm))
+        # every (w, v) with w < v sorts before every (v, w'), so each
+        # neighbour list fills in ascending order
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
+        masks = [0] * n
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "masks", tuple(sum(1 << w for w in a) for a in adj))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "degrees", tuple(map(len, adj)))
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -61,20 +74,22 @@ class Graph:
         return g
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+        return self.degrees[v]
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def is_connected(self) -> bool:
+        masks = self.masks
         seen = frontier = 1
         while frontier:
-            frontier = _spread(self.masks, frontier) & ~seen
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
             seen |= frontier
         return seen == (1 << self.n) - 1
 
@@ -94,26 +109,22 @@ class StructuralProfile:
     cycle_rank: int
 
 
-def _spread(masks: tuple[int, ...], frontier: int) -> int:
-    """The union of the neighbourhoods of the vertices in the set `frontier`."""
-    out = 0
-    while frontier:
-        low = frontier & -frontier
-        out |= masks[low.bit_length() - 1]
-        frontier ^= low
-    return out
-
-
 def eccentricities(g: Graph) -> list[int]:
     """Greatest distance from each vertex to any other, by one bitset BFS
     per vertex whose frontiers expand over `masks`."""
+    masks = g.masks
     full = (1 << g.n) - 1
     out = []
     for v in range(g.n):
         seen = frontier = 1 << v
         depth = 0
         while seen != full:
-            frontier = _spread(g.masks, frontier) & ~seen
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
             if not frontier:
                 raise GraphError("diameter undefined for disconnected graph")
             seen |= frontier
@@ -211,14 +222,19 @@ def is_generalized_sun(g: Graph) -> bool:
 
 
 def lemma0_obstruction(g: Graph) -> tuple[int, int] | None:
-    """Lex-least ordered pair (u, v) with |N(u) ∩ N(v)| = d(u) - 1 = d(v)."""
-    sets = [set(a) for a in g.adj]
-    for u in range(g.n):
-        du = g.degree(u)
-        for v in range(g.n):
-            if u == v:
-                continue
-            if g.degree(v) == du - 1 and len(sets[u] & sets[v]) == du - 1:
+    """Lex-least ordered pair (u, v) with |N(u) ∩ N(v)| = d(u) - 1 = d(v).
+
+    With d(v) = d(u) - 1 the intersection has d(v) elements exactly when
+    N(v) ⊆ N(u), so each u tests only the vertices one degree below it, in
+    ascending order, for a mask with no bit outside its own.
+    """
+    masks, degrees = g.masks, g.degrees
+    by_degree: dict[int, list[int]] = {}
+    for v, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(v)
+    for u, mask in enumerate(masks):
+        for v in by_degree.get(degrees[u] - 1, ()):
+            if not masks[v] & ~mask:
                 return (u, v)
     return None
 

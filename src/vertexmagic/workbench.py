@@ -74,11 +74,7 @@ def standard_grid() -> list[FamilyInstance]:
     for d in _DEFS:
         hubs = GRID_HUBS if d.hub_at else ((),)
         for n in range(len(d.roles), GRID_MAX_N + 1):
-            for inst in _instances_of_def(d, n):
-                if max(inst.pendant_params, default=0) > GRID_MAX_PARAM:
-                    continue
-                if inst.hub_subtrees not in hubs:
-                    continue
+            for inst in _instances_of_def(d, n, GRID_MAX_PARAM, hubs):
                 try:
                     build(inst)  # rejects a wrong diameter or hub
                 except (FamilyError, GraphError):

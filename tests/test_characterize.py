@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -190,6 +191,25 @@ def test_classify_refuters_exhaust(grid, catalog8):
         if v.outcome == "no":
             assert v.refuter is not None
             assert not exists_magic(g, v.refuter).is_witness
+
+
+def test_classify_pinned_over_the_grid_and_blind_to_labels(grid):
+    """Every standard-grid verdict, rule and refuter hashed against a fixed
+    digest, and the same verdict after a relabeling: the obstruction scans
+    the vertices in label order, the verdict must not depend on it."""
+    rng = random.Random(22)
+    digest = hashlib.sha256()
+    for inst in grid:
+        g, _ = build(inst)
+        v = classify_group_vertex_magic(g)
+        digest.update(f"{inst.render()} {v.outcome} {v.rule} {v.refuter}\n".encode())
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert classify_group_vertex_magic(g.relabeled(perm)) == v, inst.render()
+    assert len(grid) == 759
+    assert digest.hexdigest() == (
+        "afed22f57355509f7d9c5df17c183fc26d49ee7e357e8a7c1c230a59e472686c"
+    )
 
 
 def test_classify_yes_survives_catalog(grid, catalog8):

@@ -7,7 +7,7 @@ from time import perf_counter
 import pytest
 
 import vertexmagic
-from vertexmagic import abelian
+from vertexmagic import abelian, cli
 from vertexmagic.cli import main
 
 
@@ -41,6 +41,38 @@ def test_group_info_refuses_groups_past_the_bound(monkeypatch, capsys):
     monkeypatch.undo()
     assert main(["group", "info", f"Z{bound}"]) == 0
     assert f"order: {bound}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["predict", "C5", "--group", "Z{order}"],
+    ["group", "list", "--max-order", "{order}"],
+    ["crosscheck", "--max-order", "{order}"],
+], ids=["predict", "group-list", "crosscheck"])
+def test_group_orders_past_the_bound_are_refused(command, monkeypatch, capsys):
+    """predict builds every element of its group, and group list and
+    crosscheck go through every group up to their order: past the bound
+    each exits 2 with one error line before any of that work starts."""
+
+    def refuse(*args):
+        raise AssertionError(f"ran past the bound: {args}")
+
+    monkeypatch.setattr(abelian, "_elements_of", refuse)
+    monkeypatch.setattr(cli, "enumerate_abelian_groups", refuse)
+    monkeypatch.setattr(cli, "standard_catalog", refuse)
+    bound = abelian.LITERAL_TABLE_MAX_ORDER
+    assert main([a.format(order=bound + 1) for a in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bound) in err and str(bound + 1) in err
+
+
+def test_group_orders_at_the_bound_are_served(capsys):
+    bound = abelian.LITERAL_TABLE_MAX_ORDER
+    assert main(["predict", "C5", "--group", f"Z{bound}", "--construct"]) == 0
+    assert "construction:" in capsys.readouterr().out
+    assert main(["group", "list", "--max-order", str(bound)]) == 0
+    assert f"Z{bound}" in capsys.readouterr().out.split()
 
 
 def test_family_build_and_dot(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -160,8 +161,6 @@ def test_dot_deterministic():
 
 
 def test_classify_matches_definitions_on_random_graphs():
-    import random
-
     rng = random.Random(99)
     for _ in range(40):
         n = rng.randint(2, 9)
@@ -286,3 +285,71 @@ def test_twin_roots_match_the_pairwise_definition(graph):
     masks = Graph(*graph).masks
     assert twin_roots(masks) == _pairwise_twin_roots(masks)
 
+
+
+# --- construction and the obstruction against their definitions ----------
+
+
+@st.composite
+def _edge_lists(draw):
+    """A simple graph's edges listed with repeats, in any order, each pair
+    written either way round."""
+    n, edges = draw(_simple_graphs())
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
+    listed = edges + repeats
+    flips = draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+    listed = [(v, u) if flip else (u, v) for (u, v), flip in zip(listed, flips)]
+    return n, draw(st.permutations(listed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_derived_fields_match_sorted_neighbour_sets(graph):
+    n, listed = graph
+    nbrs = [set() for _ in range(n)]
+    for u, v in listed:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in nbrs)
+    g = Graph(n, listed)
+    assert g.edges == tuple(sorted({(min(e), max(e)) for e in listed}))
+    assert g.adj == adj
+    assert g.masks == tuple(sum(1 << w for w in a) for a in adj)
+    assert g.degrees == tuple(len(a) for a in adj)
+    assert [g.degree(v) for v in range(n)] == list(g.degrees)
+    h = Graph(n, g.edges)
+    assert g == h and hash(g) == hash(h)
+
+
+def _lemma0_by_neighbour_sets(g):
+    """The obstruction straight from its definition, on neighbour sets."""
+    sets = [set(a) for a in g.adj]
+    for u in range(g.n):
+        du = len(sets[u])
+        for v in range(g.n):
+            if u != v and len(sets[v]) == du - 1 == len(sets[u] & sets[v]):
+                return (u, v)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_simple_graphs(), _simple_graphs(max_n=12)))
+def test_lemma0_obstruction_matches_the_neighbour_set_definition(graph):
+    g = Graph(*graph)
+    assert lemma0_obstruction(g) == _lemma0_by_neighbour_sets(g)
+
+
+def test_lemma0_obstruction_matches_the_definition_over_the_grid(grid):
+    """Every standard-grid graph and a relabeling of each: the scan order
+    follows the labels, so the relabeling finds a different pair."""
+    rng = random.Random(23)
+    found = 0
+    for inst in grid:
+        g, _ = build(inst)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, g.relabeled(perm)):
+            pair = lemma0_obstruction(h)
+            assert pair == _lemma0_by_neighbour_sets(h), inst.render()
+            found += pair is not None
+    assert len(grid) == 759 and found > 0
