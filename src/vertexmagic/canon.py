@@ -83,7 +83,7 @@ def canonical_code(g: Graph) -> bytes:
     key = _memo_key(g)
     code = _codes.get(key)
     if code is None:
-        code = kernels.min_code(g.n, g.masks, refinement_cells(g))
+        code = kernels.min_code(g, refinement_cells(g))
         if len(_codes) >= CODE_MEMO_SIZE:
             del _codes[next(iter(_codes))]
         _codes[key] = code

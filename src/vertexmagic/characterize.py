@@ -22,6 +22,7 @@ constant may be 0 since the bare instance has no support vertex).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd
 
@@ -108,7 +109,7 @@ def construct_labeling(inst: FamilyInstance, spec: GroupSpec) -> Labeling:
 
 
 def _decide(
-    inst: FamilyInstance, spec: GroupSpec, g: Graph, roles: dict[str, int]
+    inst: FamilyInstance, spec: GroupSpec, g: Graph, roles: Mapping[str, int]
 ) -> tuple[TheoremVerdict, _Labels | None]:
     """The verdict, and the recipe's (core, mu) when it says magic.
 
@@ -132,7 +133,7 @@ def _decide(
 
 
 def _recipe(
-    inst: FamilyInstance, spec: GroupSpec, g: Graph, roles: dict[str, int]
+    inst: FamilyInstance, spec: GroupSpec, g: Graph, roles: Mapping[str, int]
 ) -> tuple[str, str, _Labels | None] | None:
     """(rule, detail, labels) of the statement covering a drawn instance
     built as `g, roles`.
@@ -175,7 +176,7 @@ def _recipe(
     if fam == "UD3-G2":
         if p[1] != 0 or spec.order % 2 == 1:
             return "Prop3.2", "", None
-        h = _first_involution(spec)
+        h = cauchy_element(spec, 2)
         gg = next(e for e in nonzero if e != h)
         return "Prop3.2", "", ({"v1": gg, "v2": gg - h, "v3": h, "v4": h}, gg)
 
@@ -329,7 +330,7 @@ def _recipe(
     if fam == "B3-M10":
         if p != (0, 0) or spec.order % 2 == 1:
             return "Prop4.9", "", None
-        h = _first_involution(spec)
+        h = cauchy_element(spec, 2)
         core = {r: h for r in ("v1", "v2", "v3", "v4", "v5", "v6")}
         return "Prop4.9", "", (core, spec.zero())
 
@@ -347,7 +348,7 @@ def _recipe(
         # needs an involution h and some g not in {0, h}: even order >= 4
         if p[1] != 0 or spec.order % 2 == 1:
             return "Prop4.10", "", None
-        h = _first_involution(spec)
+        h = cauchy_element(spec, 2)
         gg = next(e for e in nonzero if e != h)
         core = {"v1": gg, "v2": gg + h, "v3": gg, "v4": h, "v5": h - gg}
         return "Prop4.10", "", (core, gg)
@@ -377,10 +378,6 @@ def _first_pair(xs, ys, ok):
     return next(((x, y) for x in xs for y in ys if ok(x, y)), None)
 
 
-def _first_involution(spec: GroupSpec) -> GroupElement:
-    return min(involutions(spec), key=spec.index_of)
-
-
 def _prime_order_element(spec: GroupSpec, m: int) -> GroupElement:
     """The least element whose order is the least prime factor of m > 1."""
     return cauchy_element(spec, min(d for d in range(2, m + 1) if m % d == 0))
@@ -398,7 +395,7 @@ def _finish(
     inst: FamilyInstance,
     spec: GroupSpec,
     g: Graph,
-    roles: dict[str, int],
+    roles: Mapping[str, int],
     core: dict[str, GroupElement],
     mu: GroupElement,
 ) -> Labeling:

@@ -30,10 +30,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 from .abelian import PARSE_CACHE_SIZE, _partitions
 from .canon import CANON_MAX_N, canonical_code
-from .graphs import Graph, GraphError, diameter, eccentricities, twin_roots
+from .graphs import (
+    INPUT_MAX_N,
+    Graph,
+    GraphError,
+    diameter,
+    eccentricities,
+    twin_roots,
+)
 
 
 class FamilyError(ValueError):
@@ -621,25 +629,33 @@ def canonical_instance(inst: FamilyInstance) -> FamilyInstance:
     )
 
 
-def build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
-    """Construct the instance; raises FamilyError on constraint violations.
+# the standard grid has 759 instances and record rechecks visit them in any
+# order; lru_cache stores no exception, so a rejected instance raises again
+@lru_cache(maxsize=1024)
+def build(inst: FamilyInstance) -> tuple[Graph, MappingProxyType[str, int]]:
+    """Construct the instance; raises FamilyError on constraint violations,
+    and on more than `INPUT_MAX_N` vertices before anything is built.
 
     Memoized: records are rechecked by rebuilding their instance and the
     predictors read degrees off the built graph, so the same instances come
     back again and again, and the all-pairs BFS of the diameter check is the
-    costliest step.  The graph is immutable and shared; the roles dict is a
-    fresh copy for each caller.
+    costliest step.  The graph and the read-only roles mapping are made once
+    per instance and shared by every caller.
     """
-    g, roles = _build(inst)
-    return g, dict(roles)
+    g, roles = _instance_graph(inst)
+    return g, MappingProxyType(roles)
 
 
-# the standard grid has 759 instances and record rechecks visit them in any
-# order; lru_cache stores no exception, so a rejected instance raises again
-@lru_cache(maxsize=1024)
-def _build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
+def _instance_graph(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
+    """`build`'s uncached body: validate, construct, check the diameter."""
     if inst.family == "GENSUN" and (inst.variant is not None or inst.hub_subtrees):
         raise FamilyError("GENSUN takes no variant and no hub subtrees")
+    n = _vertex_count(inst)
+    if n > INPUT_MAX_N:
+        raise FamilyError(
+            f"{inst.render()} has {n} vertices, above the input bound "
+            f"{INPUT_MAX_N}"
+        )
     d = _def_of(inst)
     # a cycle's one parameter is its length, not a pendant count
     params = () if inst.family == "CYCLE" else inst.pendant_params
@@ -671,6 +687,18 @@ def _build(inst: FamilyInstance) -> tuple[Graph, dict[str, int]]:
     return g, roles
 
 
+def _vertex_count(inst: FamilyInstance) -> int:
+    """The vertices `_construct` would make, counted from the parameters
+    before any graph, or a cycle's k roles, is made: a cycle's length, else
+    the template's roles, the pendants, the hub children and their
+    pendants."""
+    if inst.family == "CYCLE":
+        (k,) = inst.pendant_params
+        return k
+    roles, hub = len(_def_of(inst).roles), inst.hub_subtrees
+    return roles + sum(inst.pendant_params) + len(hub) + sum(hub)
+
+
 def _construct(
     d: _Def, params: tuple[int, ...], hub: tuple[int, ...]
 ) -> tuple[Graph, dict[str, int]]:
@@ -694,7 +722,7 @@ def _construct(
             edges.append((child, nxt))
             roles[f"u{ui + 1}.p{j + 1}"] = nxt
             nxt += 1
-    return Graph.from_edges(nxt, edges), roles
+    return Graph(nxt, edges), roles
 
 
 def base_graph(family: str, variant: str | None = None) -> tuple[Graph, dict[str, int]]:
@@ -845,7 +873,7 @@ def _bicyclic_bases(n_max: int) -> list[Graph]:
                         prev = nxt
                         nxt += 1
                     edges.append((prev, 1))
-                out.append(Graph.from_edges(n, edges))
+                out.append(Graph(n, edges))
     # dumbbell: cycles j, k joined by a bridge path of length ell >= 1
     for j in range(3, n_max + 1):
         for k in range(3, j + 1):
@@ -863,7 +891,7 @@ def _bicyclic_bases(n_max: int) -> list[Graph]:
                 ring = list(range(nxt, nxt + k))
                 edges.append((prev, ring[0]))
                 edges.extend((ring[i], ring[(i + 1) % k]) for i in range(k))
-                out.append(Graph.from_edges(n, edges))
+                out.append(Graph(n, edges))
     # figure-eight: cycles j, k sharing one vertex
     for j in range(3, n_max + 1):
         for k in range(3, j + 1):
@@ -874,7 +902,7 @@ def _bicyclic_bases(n_max: int) -> list[Graph]:
             ring = [0] + list(range(j, j + k - 1))
             for i in range(k):
                 edges.append((ring[i], ring[(i + 1) % k]))
-            out.append(Graph.from_edges(n, edges))
+            out.append(Graph(n, edges))
     return out
 
 
@@ -914,7 +942,7 @@ def classes_by_diameter(
         raise GraphError("enumeration supports n_max <= 11")
     if rank == 1:
         seeds = [
-            Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+            Graph(k, [(i, (i + 1) % k) for i in range(k)])
             for k in range(3, n_max + 1)
         ]
     elif rank == 2:
@@ -941,9 +969,7 @@ def classes_by_diameter(
             for v in range(g.n):
                 if root[v] != v or max(g_diam, ecc[v] + 1) > max_diam:
                     continue
-                child = Graph.from_edges(
-                    g.n + 1, list(g.edges) + [(v, g.n)]
-                )
+                child = Graph(g.n + 1, list(g.edges) + [(v, g.n)])
                 by_size.setdefault(n + 1, {}).setdefault(
                     canonical_code(child), child
                 )
@@ -1015,11 +1041,12 @@ def _atlas_index(n: int) -> dict[bytes, FamilyInstance]:
     index: dict[bytes, FamilyInstance] = {}
     for inst in _atlas_instances(n):
         try:
-            # uncached: only the code is kept, and canonical_code's memo
-            # keeps it too, so recognizing this labeled graph again (a grid
-            # instance rebuilt by build) searches nothing; in build's cache
-            # these graphs would evict instances that are rebuilt
-            g, _ = _build.__wrapped__(inst)
+            # build's uncached body: only the code is kept, and
+            # canonical_code's memo keeps it too, so recognizing this labeled
+            # graph again (a grid instance rebuilt by build) searches
+            # nothing; in build's cache these graphs would evict instances
+            # that are rebuilt
+            g, _ = _instance_graph(inst)
         except (FamilyError, GraphError):
             continue
         code = canonical_code(g)

@@ -5,9 +5,11 @@ generalized-sun detection, and the shared-neighborhood obstruction.
 A graph's identity is n plus its normalised edges.  Its adjacency lists,
 adjacency bitmasks and degrees are derived once, at construction, in one
 pass over the sorted edges; `Graph.from_edges` adds only the connectivity
-check.  The predicates work on the bitmasks: breadth-first search expands
-whole frontiers at a time, and the shared-neighborhood obstruction is a
-subset test between masks.
+check, for graphs that come in from outside (`read_graph_file`,
+`Graph.relabeled`): the family constructions and the enumeration seeds are
+connected by construction.  The predicates work on the bitmasks:
+breadth-first search expands whole frontiers at a time, and the
+shared-neighborhood obstruction is a subset test between masks.
 
 `pendant_bunches` is the one pendant/support analysis: which vertices are
 pendants, whose they are, and which vertices are supports.  The solver, the
@@ -17,7 +19,14 @@ pendant filler in `labeling` and the characterizations all read it.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+# the most vertices a graph file or a family instance literal may declare,
+# checked before anything is built: adjacency is Theta(n^2) bits and the
+# diameter check costs more, while the solver, canon and enumeration stop
+# at n = 13 or below
+INPUT_MAX_N = 1024
 
 
 class GraphError(ValueError):
@@ -243,7 +252,9 @@ def degrees_same_parity(g: Graph) -> bool:
     return len({d % 2 for d in g.degrees}) == 1
 
 
-def to_dot(g: Graph, roles: dict[str, int] | None = None, name: str = "G") -> str:
+def to_dot(
+    g: Graph, roles: Mapping[str, int] | None = None, name: str = "G"
+) -> str:
     """Deterministic DOT export; vertices carry role names when available."""
     label = {}
     if roles:
@@ -263,7 +274,11 @@ def to_dot(g: Graph, roles: dict[str, int] | None = None, name: str = "G") -> st
 
 
 def read_graph_file(text: str) -> Graph:
-    """Parse the workbench graph format: first line n, then `u v` per line."""
+    """Parse the workbench graph format: first line n, then `u v` per line.
+
+    n is checked before the graph is built: a connected graph has at least
+    n - 1 edges, and n may not pass `INPUT_MAX_N`.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -281,4 +296,10 @@ def read_graph_file(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise GraphError(f"bad edge line {ln!r}") from exc
+    if n > len(edges) + 1:
+        raise GraphError("graph must be connected")
+    if n > INPUT_MAX_N:
+        raise GraphError(
+            f"graph file declares n = {n}, above the input bound {INPUT_MAX_N}"
+        )
     return Graph.from_edges(n, edges)

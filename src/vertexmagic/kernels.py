@@ -1,6 +1,6 @@
 """Hot kernels: the canonical-form search and the magic-labeling DFS.
 
-  min_code(n, masks, cells)            canonical-form search
+  min_code(g, cells)                   canonical-form search
   search_exists(...)                   one mu-slice of the magic-labeling DFS
   search_count(...)                    exact solution count for one mu-slice
 
@@ -22,14 +22,14 @@ negation table.
 
 from __future__ import annotations
 
-from .graphs import twin_roots
+from .graphs import Graph, twin_roots
 
 # the kernel implementation named in benchmark run reports
 BACKEND = "python"
 
 
-def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
-    """Minimum adjacency encoding over cell-respecting vertex orderings.
+def min_code(g: Graph, cells: list[list[int]]) -> bytes:
+    """Minimum adjacency encoding of g over cell-respecting vertex orderings.
 
     The encoding is the column-major upper triangle read position by
     position: placing the vertex at position j appends its j adjacency bits
@@ -83,20 +83,14 @@ def min_code(n: int, masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
     class left has a single candidate, so it is placed in a loop; the search
     recurses and sorts candidates only where two or more classes are left.
     """
+    n = g.n
     # a complete ordering exists exactly when the cells partition the
     # vertices; an explicit raise, not an assert, so it survives python -O
     flat = [v for cell in cells for v in cell]
     if sorted(flat) != list(range(n)):
         raise RuntimeError("min_code: the cells admit no complete ordering")
-    root = twin_roots(masks)
-    nbrs: list[list[int]] = []
-    for m in masks:
-        vs = []
-        while m:
-            low = m & -m
-            vs.append(low.bit_length() - 1)
-            m ^= low
-        nbrs.append(vs)
+    root = twin_roots(g.masks)
+    nbrs = g.adj
     cell_of_pos: list[int] = []
     # per cell, its twin classes as stacks whose next member is last
     stacks: list[list[list[int]]] = []

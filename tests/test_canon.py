@@ -31,7 +31,7 @@ def petersen():
 
 def searched(g):
     """The code from the search itself, never from `canonical_code`'s memo."""
-    return kernels.min_code(g.n, g.masks, refinement_cells(g))
+    return kernels.min_code(g, refinement_cells(g))
 
 
 def test_relabel_invariance_c4():
@@ -350,4 +350,4 @@ def test_min_code_raises_without_a_complete_ordering():
     # a cell listing vertex 0 twice leaves its second position unfillable;
     # the self-check is a raise, so it holds under python -O as well
     with pytest.raises(RuntimeError, match="no complete ordering"):
-        kernels.min_code(2, (0b10, 0b01), [[0, 0]])
+        kernels.min_code(Graph(2, [(0, 1)]), [[0, 0]])

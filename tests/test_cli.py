@@ -1,5 +1,6 @@
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 from time import perf_counter
@@ -7,7 +8,7 @@ from time import perf_counter
 import pytest
 
 import vertexmagic
-from vertexmagic import abelian, cli
+from vertexmagic import abelian, cli, graphs
 from vertexmagic.cli import main
 
 
@@ -219,6 +220,26 @@ def test_solve_beyond_bound_exits_cleanly(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "build", "C{over}"],
+    ["solve", "M11({over},0)", "--group", "Z2"],
+    ["predict", "GENSUN(1,0,{over})", "--group", "Z3"],
+    ["classify", "H2(1,1,1;hub=[{over}])"],
+    ["solve", "{path}", "--group", "Z2"],
+], ids=["cycle", "family", "gensun", "hub", "graph-file"])
+def test_inputs_past_the_vertex_bound_exit_cleanly(argv, tmp_path, capsys):
+    """Instance literals and graph files with more than INPUT_MAX_N
+    vertices exit 2 with one error line, before anything is built."""
+    bound = graphs.INPUT_MAX_N
+    path = tmp_path / "path.txt"
+    path.write_text(f"{bound + 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(bound)))
+    assert main([a.format(over=bound + 1, path=path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"input bound {bound}" in err
+
+
 def test_solve_beyond_group_order_bound_exits_cleanly(capsys):
     assert main(["solve", "C4", "--group", "Z512"]) == 2
     err = capsys.readouterr().err
@@ -253,3 +274,27 @@ def test_cli_imports_without_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _tour_commands() -> list[list[str]]:
+    """The `vmagic` lines of the sh block under README's "Command-line
+    tour" heading, split as sh splits them, comments dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command-line tour", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(ln, comments=True) for ln in lines
+            if ln.startswith("vmagic ")]
+
+
+@pytest.mark.parametrize("argv", _tour_commands(), ids=" ".join)
+def test_readme_tour_command_runs(argv, tmp_path, monkeypatch, capsys):
+    """Every documented command exits 0, so a renamed flag or a changed
+    bound fails here and not in a reader's shell."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_tour_is_found():
+    # an empty parameter list would only skip the test above
+    assert len(_tour_commands()) >= 10

@@ -68,17 +68,20 @@ def test_diameter_constraints_rejected():
 
 def test_diameter_checked_once_per_instance(monkeypatch):
     """A right diameter is checked once per instance; a wrong one is
-    checked, and raises, on every build."""
+    checked, and raises, on every build.  Every build of an instance shares
+    one read-only roles mapping."""
     seen = []
     monkeypatch.setattr(families, "diameter", lambda g: seen.append(g) or diameter(g))
-    families._build.cache_clear()
+    families.build.cache_clear()
+    first = build(parse_instance("G2(1,0)"))[1]
     for _ in range(3):
         with pytest.raises(FamilyError, match="diameter 2"):
             build(parse_instance("G2(0,1)"))
         g, roles = build(parse_instance("G2(1,0)"))
         assert diameter(g) == 3
-        roles["mutated"] = -1  # the roles dict is the caller's own
-        assert "mutated" not in build(parse_instance("G2(1,0)"))[1]
+        assert roles is first
+        with pytest.raises(TypeError):
+            roles["mutated"] = -1
     assert len(seen) == 4
 
 
@@ -98,6 +101,16 @@ def test_provenance_neighbor_sets():
             got = {v for v in g.adj[roles[role]]}
             want = {roles[r] for r in nbrs}
             assert got == want, (d.family, d.variant, role)
+
+
+def test_constructions_are_connected():
+    """The templates and the bicyclic enumeration seeds skip from_edges'
+    connectivity check, so each must be connected by construction."""
+    for d in atlas_entries():
+        g, _ = base_graph(d.family, d.variant)
+        assert g.is_connected(), d.name
+    for g in _bicyclic_bases(11):
+        assert g.is_connected() and cycle_rank(g) == 2, g
 
 
 def test_atlas_entries_listed():

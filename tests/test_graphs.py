@@ -6,6 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vertexmagic import graphs
 from vertexmagic.graphs import (
     Graph,
     GraphError,
@@ -201,6 +202,26 @@ def test_graph_file_roundtrip():
         read_graph_file("not a number\n0 1\n")
     with pytest.raises(GraphError):
         read_graph_file("3\n0 1 2\n")
+
+
+def test_graph_file_vertex_count_checked_before_construction(monkeypatch):
+    """A connected graph has at least n - 1 edges, and n may not pass
+    INPUT_MAX_N: a file breaking either is refused before any Graph (and
+    its Theta(n^2) adjacency) is made."""
+
+    def refuse(self):
+        raise AssertionError(f"constructed a graph on {self.n} vertices")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    with pytest.raises(GraphError, match="graph must be connected"):
+        read_graph_file("1000000\n0 1\n")
+    bound = graphs.INPUT_MAX_N
+    path = f"{bound + 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(bound))
+    with pytest.raises(GraphError, match=f"input bound {bound}"):
+        read_graph_file(path)
+    monkeypatch.undo()
+    path = f"{bound}\n" + "".join(f"{i} {i + 1}\n" for i in range(bound - 1))
+    assert read_graph_file(path).n == bound
 
 
 # --- bitset BFS and twin classes against their definitions ---------------

@@ -6,6 +6,7 @@ import pytest
 from vertexmagic import abelian, canon, families
 from vertexmagic.abelian import GroupError, enumerate_abelian_groups, parse_group
 from vertexmagic.families import FamilyError, parse_instance
+from vertexmagic.graphs import INPUT_MAX_N
 from vertexmagic.workbench import (
     VerdictRecord,
     _one_record,
@@ -40,10 +41,10 @@ def test_standard_grid_builds_only_its_own_instances(monkeypatch):
         return g, roles
 
     monkeypatch.setattr(families, "_construct", recording)
-    families._build.cache_clear()
+    families.build.cache_clear()
     standard_grid()
     assert sizes and max(sizes) <= 13
-    assert families._build.cache_info().currsize == 752
+    assert families.build.cache_info().currsize == 752
 
 
 def test_grid_is_sorted_and_unique(grid):
@@ -225,6 +226,23 @@ def test_skipped_row_rechecks_by_the_solver_bound():
     assert skipped.oracle == "skipped"
     assert recheck_record(skipped)
     assert not recheck_record(VerdictRecord(**{**vars(skipped), "oracle": "exhausted"}))
+
+
+def test_row_past_the_input_bound_fails_recheck(monkeypatch):
+    """A row naming an instance with more than INPUT_MAX_N vertices fails
+    its recheck at once, before any graph is constructed."""
+
+    def refuse(*args):
+        raise AssertionError("constructed an instance past the input bound")
+
+    monkeypatch.setattr(families, "_construct", refuse)
+    k = INPUT_MAX_N + 1
+    row = VerdictRecord(
+        instance=f"C{k}", n=k, group="Z2", theorem="magic", rule="Lemma2.5",
+        oracle="skipped", witness=None, mu=None, nodes=0, agree=None,
+        note="instance beyond the solver bound",
+    )
+    assert not recheck_record(row)
 
 
 def test_record_parses_are_memoized():
