@@ -7,11 +7,14 @@ the core labels and magic constant of the proof's labeling.  Existential
 conditions are decided by exhaustive sweep over the group, exact at catalog
 scale, and the elements a sweep finds are the ones the labeling uses.
 `predict` reads only the verdict from the recipe; `construct_labeling`
-fills the pendant bunches from the same core labels and verifies the
-result.  Z2 is answered by the parity criterion and position variants are
-not covered.  `classify_group_vertex_magic` stacks the structural rules
-(regularity, the shared-neighborhood obstruction, the Z2 parity criterion)
-ahead of the per-diameter characterizations.
+hands the same core labels to `solver.complete_labeling`, the completion
+the search's witnesses go through, which fills the pendant bunches and
+verifies the result.  Like the search, it works on the m*m Cayley table,
+so it refuses groups of order above `solver.EXISTS_MAX_ORDER`.  Z2 is
+answered by the parity criterion and position variants are not covered.
+`classify_group_vertex_magic` stacks the structural rules (regularity, the
+shared-neighborhood obstruction, the Z2 parity criterion) ahead of the
+per-diameter characterizations.
 
 Two predicates deviate knowingly from their published statements because
 the published versions fail against the search oracle; see the rule notes
@@ -44,7 +47,8 @@ from .graphs import (
     pendant_bunches,
     two_core,
 )
-from .labeling import Labeling, fill_pendants, verify_magic
+from .labeling import Labeling
+from .solver import EXISTS_MAX_ORDER, SolverBoundError, complete_labeling
 
 Z2 = GroupSpec((2,))
 Z3 = GroupSpec((3,))
@@ -98,6 +102,10 @@ def predict(inst: FamilyInstance, spec: GroupSpec) -> TheoremVerdict:
 
 def construct_labeling(inst: FamilyInstance, spec: GroupSpec) -> Labeling:
     """Deterministic witness following the matching proof recipe."""
+    if spec.order > EXISTS_MAX_ORDER:
+        raise SolverBoundError(
+            f"|A| = {spec.order} exceeds the construction bound {EXISTS_MAX_ORDER}"
+        )
     g, roles = build(inst)
     verdict, labels = _decide(inst, spec, g, roles)
     if labels is None:
@@ -399,19 +407,18 @@ def _finish(
     core: dict[str, GroupElement],
     mu: GroupElement,
 ) -> Labeling:
-    """Fill pendant bunches of the built instance `g, roles` from the core
-    labels and verify the result."""
+    """Complete the core labels on the built instance `g, roles` by
+    `solver.complete_labeling`, which fills the pendant bunches and raises
+    WitnessError when the result fails verification."""
     values: list = [None] * g.n
     for r, x in core.items():
-        values[roles[r]] = x
+        values[roles[r]] = spec.index_of(x)
     pendants = set().union(*pendant_bunches(g))
     for v in range(g.n):
         if values[v] is None and v not in pendants:
             raise ContractError(f"recipe left non-pendant vertex {v} unlabeled")
-    fill_pendants(g, spec, values, mu)
-    lab = Labeling(spec, tuple(values))
-    cert = verify_magic(g, lab)
-    if cert is None or cert.constant != mu:
+    lab, cert = complete_labeling(g, spec, values, spec.index_of(mu))
+    if cert.constant != mu:
         raise ContractError(f"recipe for {inst.render()} over {spec} failed")
     return lab
 

@@ -1,9 +1,13 @@
 """Command-line workbench.
 
 Exit codes: 0 on success, 1 when `crosscheck --strict` finds a nonempty
-discrepancy ledger, 2 on usage errors and on instances beyond a documented
-solver bound.  A ContractError still escapes as a traceback: it
-signals a bug in a construction recipe, not a bound.
+discrepancy ledger, 2 on usage errors, on a file that cannot be read or
+written, and on instances beyond a documented solver bound.  A
+ContractError or a WitnessError still escapes as a traceback: it signals a
+bug, not a bound.  A construction recipe raises the first when it has no
+labeling to give, and a labeling that fails verification, whether a search
+witness or a recipe's construction (`solver.complete_labeling`), raises
+the second.
 """
 
 from __future__ import annotations
@@ -279,7 +283,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (_UsageError, GroupError, GraphError, FamilyError,
-            InvalidLabelingError, SolverBoundError) as exc:
+            InvalidLabelingError, SolverBoundError, OSError,
+            UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,8 @@ breadth-first search expands whole frontiers at a time, and the
 shared-neighborhood obstruction is a subset test between masks.
 
 `pendant_bunches` is the one pendant/support analysis: which vertices are
-pendants, whose they are, and which vertices are supports.  The solver, the
-pendant filler in `labeling` and the characterizations all read it.
+pendants, whose they are, and which vertices are supports.  The solver and
+the characterizations read it.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ built only for the certificate it returns.  It shares no code with the
 Cayley tables of `abelian.cayley_tables`, which the search and the oracle
 use, so it stays an independent check of both.
 
-`fill_pendants` completes a partial labeling by the decomposition lemma; the
-constructive recipes finish their labelings with it.  The solver fills its
-witnesses' bunches by the same rule on the Cayley tables, which this module
-does not import.
+Pendant bunches are filled by the decomposition lemma in one place,
+`solver.complete_labeling`, for search witnesses and recipe labelings alike;
+it certifies each labeling with `verify_magic`.
 
 `parse_labeling` reads the literal `v0=1,v1=(1,0),...` that `Labeling.render`
 writes, in which every vertex is named exactly once.  The rendered literal
@@ -33,14 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import lshift, mod
 
-from .abelian import (
-    GroupElement,
-    GroupSpec,
-    decompose_sum,
-    literal_table,
-    parse_element,
-)
-from .graphs import Graph, GraphError, pendant_bunches, support_vertices
+from .abelian import GroupElement, GroupSpec, literal_table, parse_element
+from .graphs import Graph, GraphError, support_vertices
 
 
 class InvalidLabelingError(ValueError):
@@ -149,26 +142,6 @@ def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
 def check_support_forcing(g: Graph, cert: MagicCertificate, lab: Labeling) -> bool:
     """Every support vertex must carry the magic constant; exposed self-check."""
     return all(lab.values[v] == cert.constant for v in support_vertices(g))
-
-
-def fill_pendants(
-    g: Graph, spec: GroupSpec, values: list, mu: GroupElement
-) -> None:
-    """Label every unlabeled pendant so that its support's weight is mu.
-
-    `values` holds a label or None per vertex and is filled in place.  Each
-    support, in ascending order, gives its unlabeled bunch the lex-least
-    nonzero decomposition (`decompose_sum`) of mu minus the labels already
-    around it, in ascending pendant order.
-    """
-    for s, bunch in enumerate(pendant_bunches(g)):
-        todo = [p for p in bunch if values[p] is None]
-        if not todo:
-            continue
-        rows = [values[w].residues for w in g.adj[s] if values[w] is not None]
-        partial = GroupElement(spec, _sum_residues(spec.factors, rows))
-        for p, x in zip(todo, decompose_sum(spec, mu - partial, len(todo))):
-            values[p] = x
 
 
 def _split_top_level(text: str) -> list[str]:

@@ -21,9 +21,12 @@ support vertex's label to mu, propagates "last unlabeled neighbor" forcings
 (rejecting zero), prunes any completed neighborhood whose weight misses mu,
 and aggregates each support's pendant bunch by the number of its nonzero
 decompositions (`kernels._bunch_ways`, the decomposition lemma counted).
-A witness's bunches are then filled on the Cayley tables, each with the
-lex-least nonzero decomposition `abelian.decompose_sum` would give
-(`_bunch_labels`), and `labeling.verify_magic` certifies the labeling.
+A witness's core labels then go to `complete_labeling`, which fills each
+bunch on the Cayley tables with the lex-least nonzero decomposition
+`abelian.decompose_sum` would give (`_bunch_labels`) and certifies the
+labeling with `labeling.verify_magic`.  The constructive recipes of
+`characterize` finish their labelings through it too, so every labeling
+the program builds is completed and certified in one place.
 K1 and K2 follow the same rule: for n <= 2 the core is every vertex, so the
 two ends of K2, each the other's support, are searched and not aggregated.
 
@@ -41,19 +44,22 @@ most: a unit fact (c = 1, i.e. x_v = -b * mu) when the unit vector of v
 lies in the row lattice projected onto R, read off that form, and
 otherwise a torsion fact (c >= 2) from a second form with v's column next
 to mu's.  M10(0,0) has 2 * x_5 = 0, so over a group of odd order x_5
-would be 0.  A slice is closed at 0 nodes when d0 * mu != 0 or some fact
-leaves x_v no nonzero value; per cyclic factor Z_f that is a gcd test on
-mu's residues (`_refutes`), with no Cayley table.  The other slices are
-searched exactly as without the presolve, so the witness, its mu and every
-record stay the same and `nodes` can only fall.
+would be 0.  Every refutation is one linear fact c * x + b * mu = 0 that
+leaves x no nonzero value: d0 is the pair (0, d0), and a support, whose
+label is mu, the pair (1, d0 - 1), i.e. x = mu once d0 * mu = 0.  Per
+cyclic factor Z_f that is a gcd test on mu's residues (`_refutes`), with
+no Cayley table, and a slice is closed at 0 nodes when some pair refutes
+its mu.  The other slices are searched exactly as without the presolve, so
+the witness, its mu and every record stay the same and `nodes` can only
+fall.
 
 The core system and its facts are computed once per graph, whatever the
 group, and cached as one plan (`_plan`); the slices left open are computed
-once per group and slice key (`_open_slices`): whether the graph has a
-support, d0, and the distinct (c, b) pairs of its facts, which is all
-`_closed` reads, so graphs whose facts differ only in their vertices share
-them.  A call then pays for the bounds, the plan lookup and, when a slice
-is open, the Cayley tables and the open slices' searches.
+once per group and slice key (`_open_slices`): the sorted set of
+refuting (c, b) pairs, without the facts' vertices, so graphs whose facts
+differ only in their vertices share them.  A call then pays for the
+bounds, the plan lookup and, when a slice is open, the Cayley tables and
+the open slices' searches.
 `count_magic` searches the same plan and open slices to the end: a closed
 slice has no labeling to count.
 
@@ -91,7 +97,8 @@ class SolverBoundError(ValueError):
 
 
 class WitnessError(RuntimeError):
-    """A labeling the search produced failed verification: a solver bug."""
+    """A completed labeling, a search witness or a recipe's construction,
+    failed verification: a bug, never a bound."""
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,6 @@ class EmpiricalVerdict:
     @property
     def survives(self) -> bool:
         return self.refuted_by is None
-
-
-def _certify(g: Graph, lab: Labeling) -> MagicCertificate:
-    # an explicit raise, not an assert, so the check survives python -O
-    cert = verify_magic(g, lab)
-    if cert is None:
-        raise WitnessError("solver witness failed verification")
-    return cert
 
 
 def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -239,10 +238,11 @@ def _plan(g: Graph):
     whatever the group: the vertices the search labels, their core
     neighbours (as core indices), the size of their pendant bunch, whether
     they are supports, the presolve's facts on that core system
-    (`_lattice_facts`), and the slice key.  The key is what `_closed` reads:
-    whether there is a support, d0, and the distinct (c, b) pairs of the
-    facts, sorted, without their vertices.  Tuples and ints only, so no
-    caller can change a cached plan."""
+    (`_lattice_facts`), and the slice key: the refuting pairs (c, b),
+    sorted and without their vertices.  They are (0, d0), the facts' pairs,
+    and (1, d0 - 1) when there is a support: -1 written mod d0, as the
+    facts' b are, so a unit fact x_v = mu gives the same pair.  Tuples and
+    ints only, so no caller can change a cached plan."""
     bunches = pendant_bunches(g)
     # the core is every vertex but the pendants; the two ends of K2 support
     # each other, so for n <= 2 nothing is aggregated
@@ -254,7 +254,10 @@ def _plan(g: Graph):
     pend = tuple([g.degree(v) - len(nv) for v, nv in zip(core, neigh)])
     support = tuple([bool(bunches[v]) for v in core])
     d0, facts = _lattice_facts(neigh, pend, support)
-    key = (any(support), d0, tuple(sorted({(c, b) for _, c, b in facts})))
+    pairs = {(0, d0), *[(c, b) for _, c, b in facts]}
+    if any(support):
+        pairs.add((1, d0 - 1))
+    key = tuple(sorted(pairs))
     return core, neigh, pend, support, d0, facts, key
 
 
@@ -288,30 +291,19 @@ def _refutes(c: int, b: int, factors: tuple[int, ...], mu) -> bool:
     return not any(ts) and all(gf == 1 for gf in gs)
 
 
-def _closed(factors: tuple[int, ...], mu, key) -> bool:
-    """Whether the plan's slice key refutes this mu (its residues): mu = 0
-    on a graph with a support vertex, whose label is mu and is the weight
-    of its pendant; d0 * mu != 0; or some pair (c, b) for which
-    c * x + b * mu = 0 leaves x no nonzero value."""
-    has_support, d0, pairs = key
-    return (has_support and not any(mu)) or _refutes(0, d0, factors, mu) or any(
-        _refutes(c, b, factors, mu) for c, b in pairs
-    )
-
-
-# keyed on the (c, b) pairs, not on the graph or the facts' vertices, so
+# keyed on the refuting pairs, not on the graph or the facts' vertices, so
 # graphs whose facts refute alike share the slices; the standard grid over
-# the catalog of order <= 16 has 28 keys, 672 with the 24 groups
+# the catalog of order <= 16 has 22 keys, 528 entries with the 24 groups
 @lru_cache(maxsize=4096)
 def _open_slices(spec: GroupSpec, key) -> tuple[int, ...]:
-    """The least mu of each Aut(A)-orbit, ascending, that the slice key
-    (`_plan`) does not refute."""
+    """The least mu of each Aut(A)-orbit, ascending, that no pair of the
+    slice key (`_plan`) refutes."""
     rep, _ = mu_orbits(spec)
     # product runs through the residues in index order, as element_at does
     residues = product(*[range(f) for f in spec.factors])
     return tuple([
         mu for (mu, r), x in zip(enumerate(rep), residues)
-        if r == mu and not _closed(spec.factors, x, key)
+        if r == mu and not any(_refutes(c, b, spec.factors, x) for c, b in key)
     ])
 
 
@@ -320,12 +312,7 @@ def _bunch_labels(m: int, add, neg, target: int, k: int) -> list[int]:
     lex-least as `abelian.decompose_sum` picks them: index 1 for every part
     but the last two, then the first nonzero index other than what is left,
     then what is left; over Z2, all ones.  The caller has checked that the
-    bunch is feasible, and `verify_magic` certifies the labeling.
-
-    Kept beside `labeling.fill_pendants` because it works on the search's
-    indices: filling witnesses through `fill_pendants` instead raised the
-    warm `exists_magic` pass over `campaign`'s 6,072 ledger pairs from
-    37.6-43.4 ms to 67.0-69.0 ms (best of 7), with identical records."""
+    bunch is feasible, and `verify_magic` certifies the labeling."""
     if m == 2:
         return [1] * k
     parts = [1] * (k - 2)
@@ -337,6 +324,40 @@ def _bunch_labels(m: int, add, neg, target: int, k: int) -> list[int]:
         target = add[target * m + neg[first]]
     parts.append(target)
     return parts
+
+
+def complete_labeling(
+    g: Graph, spec: GroupSpec, values: list, mu: int
+) -> tuple[Labeling, MagicCertificate]:
+    """Fill every pendant bunch and certify the labeling: the one completion
+    of search witnesses and recipe labelings alike.
+
+    `values` holds an element index per vertex, or None for a pendant to
+    fill, and is filled in place; mu is the constant's index.  Each bunch
+    gets `_bunch_labels` of mu minus its support's labelled neighbours, in
+    ascending pendant order.  An unlabeled vertex is a pendant, so no bunch
+    reads another's labels and the order of the supports does not matter.
+    Raises WitnessError when `verify_magic` rejects the result.
+    """
+    m, add, neg = cayley_tables(spec)
+    bunches: dict[int, list[int]] = {}
+    for w, x in enumerate(values):
+        if x is None:
+            bunches.setdefault(g.adj[w][0], []).append(w)
+    for s, bunch in bunches.items():
+        rest = mu
+        for u in g.adj[s]:
+            if values[u] is not None:
+                rest = add[rest * m + neg[values[u]]]
+        for w, x in zip(bunch, _bunch_labels(m, add, neg, rest, len(bunch))):
+            values[w] = x
+    elems = spec.elements()
+    lab = Labeling(spec, tuple([elems[x] for x in values]))
+    # an explicit raise, not an assert, so the check survives python -O
+    cert = verify_magic(g, lab)
+    if cert is None:
+        raise WitnessError("labeling failed verification")
+    return lab, cert
 
 
 # the outcome when the presolve closes every slice; frozen, so one is shared
@@ -371,21 +392,7 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
         values: list = [None] * g.n
         for v, x in zip(core, labels):
             values[v] = x
-        # each bunch, in ascending support and pendant order, completes its
-        # support's weight to mu, as `labeling.fill_pendants` would
-        for v, nv, k in zip(core, neigh, pend):
-            if k:
-                partial = 0
-                for u in nv:
-                    partial = add[partial * m + labels[u]]
-                bunch = [w for w in g.adj[v] if values[w] is None]
-                rest = add[mu * m + neg[partial]]
-                for w, x in zip(bunch, _bunch_labels(m, add, neg, rest, k)):
-                    values[w] = x
-        elems = spec.elements()
-        lab = Labeling(spec, tuple([elems[x] for x in values]))
-        cert = _certify(g, lab)
-        return SolveOutcome(lab, cert, nodes)
+        return SolveOutcome(*complete_labeling(g, spec, values, mu), nodes)
     return SolveOutcome(None, None, nodes)
 
 

@@ -165,8 +165,6 @@ def recheck_record(rec: VerdictRecord) -> bool:
     if rec.n != g.n:
         return False
     if rec.oracle == "witness":
-        if rec.witness is None:
-            return False
         try:
             cert = verify_magic(g, parse_labeling(spec, rec.witness, g.n))
         except (GroupError, InvalidLabelingError):
@@ -180,17 +178,25 @@ def recheck_record(rec: VerdictRecord) -> bool:
 
 
 def _fields_fit(rec: VerdictRecord) -> bool:
-    """The plain comparisons a row must pass: a known theorem outcome, a
-    nonnegative integer node count (0 when skipped), no witness or mu unless
-    the oracle found a witness, and `agree` as `_agreement` derives it."""
+    """The plain comparisons a row must pass: string instance and group, a
+    known theorem outcome, a nonnegative integer node count (0 when
+    skipped), a string witness and mu when the oracle found a witness and
+    neither otherwise, and `agree` as `_agreement` derives it.  A field of
+    the wrong JSON type fails here, before anything parses or hashes it."""
     nodes = rec.nodes
-    if rec.theorem not in _THEOREMS or type(nodes) is not int or nodes < 0:
+    if type(rec.instance) is not str or type(rec.group) is not str:
         return False
-    if rec.oracle != "witness":
-        if rec.witness is not None or rec.mu is not None:
+    if type(rec.theorem) is not str or rec.theorem not in _THEOREMS:
+        return False
+    if type(nodes) is not int or nodes < 0:
+        return False
+    if rec.oracle == "witness":
+        if type(rec.witness) is not str or type(rec.mu) is not str:
             return False
-        if rec.oracle == "skipped" and nodes != 0:
-            return False
+    elif rec.witness is not None or rec.mu is not None:
+        return False
+    elif rec.oracle == "skipped" and nodes != 0:
+        return False
     return rec.agree is _agreement(rec.theorem, rec.oracle)
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from vertexmagic import solver
 from vertexmagic.abelian import GroupSpec, parse_group
 from vertexmagic.characterize import (
     ContractError,
@@ -14,7 +15,12 @@ from vertexmagic.characterize import (
 from vertexmagic.families import FamilyError, build, parse_instance
 from vertexmagic.graphs import Graph
 from vertexmagic.labeling import verify_magic
-from vertexmagic.solver import exists_magic
+from vertexmagic.solver import (
+    EXISTS_MAX_ORDER,
+    SolverBoundError,
+    WitnessError,
+    exists_magic,
+)
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -100,6 +106,27 @@ def test_construct_requires_magic_prediction():
         construct_labeling(parse_instance("M3(1,0,0)"), Z4)
     with pytest.raises(ContractError):
         construct_labeling(parse_instance("M13:mid(2)"), Z3)
+
+
+def test_construct_bounded_by_the_solver_order():
+    """Constructions complete on the m*m Cayley table, so they take the
+    search's order bound: refused past it before any recipe work, served
+    at it with a verified labeling."""
+    inst = parse_instance("G2(1,0)")
+    with pytest.raises(SolverBoundError, match="construction bound"):
+        construct_labeling(inst, parse_group(f"Z{EXISTS_MAX_ORDER + 1}"))
+    spec = parse_group(f"Z{EXISTS_MAX_ORDER}")
+    lab = construct_labeling(inst, spec)
+    cert = verify_magic(build(inst)[0], lab)
+    assert cert is not None and lab.group == spec
+
+
+def test_construct_goes_through_the_one_completion(monkeypatch):
+    """A recipe's labeling is certified by `solver.complete_labeling`, the
+    completion the search's witnesses take, and fails as they do."""
+    monkeypatch.setattr(solver, "verify_magic", lambda g, lab: None)
+    with pytest.raises(WitnessError, match="failed verification"):
+        construct_labeling(parse_instance("G2(1,0)"), Z4)
 
 
 def test_construct_verifies_across_catalog(catalog8):

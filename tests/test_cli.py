@@ -240,6 +240,25 @@ def test_inputs_past_the_vertex_bound_exit_cleanly(argv, tmp_path, capsys):
     assert f"input bound {bound}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "{tmp}"],
+    ["solve", "{latin1}", "--group", "Z3"],
+    ["crosscheck", "--max-order", "2", "--out", "{missing}/records.jsonl"],
+    ["audit", "--nmax", "4", "--out", "{missing}/audit.txt"],
+    ["family", "build", "C4", "--dot", "{missing}/c4.dot"],
+], ids=["directory", "not-utf8", "crosscheck-out", "audit-out", "dot"])
+def test_file_errors_exit_cleanly(argv, tmp_path, capsys):
+    """A file that cannot be read or written exits 2 with one error line,
+    never a traceback."""
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"3\n0 1\n1 2\n# \xe9\n")
+    paths = {"tmp": tmp_path, "latin1": latin1, "missing": tmp_path / "missing"}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_solve_beyond_group_order_bound_exits_cleanly(capsys):
     assert main(["solve", "C4", "--group", "Z512"]) == 2
     err = capsys.readouterr().err

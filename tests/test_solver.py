@@ -644,7 +644,7 @@ def test_no_witness_of_the_order_16_crosscheck_is_closed(campaign16):
         assert (d0 * mu).is_zero(), rec
         for v, c, b in facts:
             assert (c * lab[core[v]] + b * mu).is_zero(), (rec, v)
-        assert not solver._closed(spec.factors, mu.residues, key), rec
+        assert spec.index_of(mu) in solver._open_slices(spec, key), rec
 
 
 def _triangle_with_tail():
@@ -714,10 +714,13 @@ def test_solver_caches_are_bounded_and_plans_immutable(grid):
         plan = solver._plan(g)
         assert len(plan) == 7 and flat(plan), g.edges
         _, _, _, support, d0, facts, key = plan
-        # the slice key drops the facts' vertices: (has a support, d0, the
-        # sorted distinct (c, b) pairs)
-        pairs = tuple(sorted({(c, b) for _, c, b in facts}))
-        assert key == (any(support), d0, pairs), g.edges
+        # the slice key is the refuting pairs alone, without the facts'
+        # vertices: d0 as (0, d0), the facts' (c, b), and a support's
+        # x = mu as (1, d0 - 1)
+        pairs = {(0, d0)} | {(c, b) for _, c, b in facts}
+        if any(support):
+            pairs.add((1, d0 - 1))
+        assert key == tuple(sorted(pairs)), g.edges
 
 
 def _relabeled(g, perm):
@@ -740,8 +743,8 @@ def test_open_slices_are_shared_by_facts_on_other_vertices():
 
 
 def test_open_slices_keys_over_the_grid(grid):
-    """One slice entry per group and distinct slice key: 28 keys on the
-    standard grid, 672 entries over the 24 groups of order <= 16."""
+    """One slice entry per group and distinct slice key: 22 keys on the
+    standard grid, 528 entries over the 24 groups of order <= 16."""
     catalog = standard_catalog(16)
     solver._open_slices.cache_clear()
     for inst in grid:
@@ -749,7 +752,7 @@ def test_open_slices_keys_over_the_grid(grid):
         for spec in catalog:
             exists_magic(g, spec)
     info = solver._open_slices.cache_info()
-    assert info.misses == info.currsize == 672
+    assert info.misses == info.currsize == 528
 
 
 @pytest.mark.parametrize("spec", enumerate_abelian_groups(16), ids=str)

@@ -218,6 +218,28 @@ def test_inconsistent_row_fails_recheck(group, field, tampered):
     assert not recheck_record(VerdictRecord(**{**vars(rec), field: tampered}))
 
 
+@pytest.mark.parametrize("group, field, wrong", [
+    ("Z3", "instance", 5),
+    ("Z3", "instance", ["G2(1,0)"]),
+    ("Z3", "group", 3),
+    ("Z3", "group", None),
+    ("Z3", "theorem", ["magic"]),
+    ("Z2+Z2", "witness", 7),
+    ("Z2+Z2", "mu", 7),
+])
+def test_row_of_the_wrong_json_type_fails_recheck(group, field, wrong):
+    """A row read back from JSON with a field of the wrong type fails the
+    recheck instead of raising: the exhausted (Z3) and witness (Z2+Z2)
+    rows of G2(1,0)."""
+    inst = parse_instance("G2(1,0)")
+    g, _ = families.build(inst)
+    rec = _one_record(inst, inst.render(), g, parse_group(group), group)
+    assert rec.oracle == ("exhausted" if group == "Z3" else "witness")
+    assert recheck_record(rec)
+    row = {**json.loads(rec.to_json()), field: wrong}
+    assert not recheck_record(VerdictRecord.from_json(json.dumps(row)))
+
+
 def test_skipped_row_rechecks_by_the_solver_bound():
     """A skipped row passes only because the solver refuses its pair."""
     inst = parse_instance("C4")
