@@ -370,9 +370,10 @@ def parse_group(text: str) -> GroupSpec:
         if part in _ALIASES:
             factors.extend(_ALIASES[part])
             continue
-        if not part.startswith("Z") or not part[1:].isdigit():
+        digits = part[1:]
+        if not (part.startswith("Z") and digits.isascii() and digits.isdigit()):
             raise GroupError(f"cannot parse group factor {part!r} in {text!r}")
-        factors.append(int(part[1:]))
+        factors.append(int(digits))
     return GroupSpec(tuple(factors))
 
 

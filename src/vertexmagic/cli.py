@@ -1,13 +1,14 @@
 """Command-line workbench.
 
 Exit codes: 0 on success, 1 when `crosscheck --strict` finds a nonempty
-discrepancy ledger, 2 on usage errors, on a file that cannot be read or
-written, and on instances beyond a documented solver bound.  A
-ContractError or a WitnessError still escapes as a traceback: it signals a
-bug, not a bound.  A construction recipe raises the first when it has no
-labeling to give, and a labeling that fails verification, whether a search
-witness or a recipe's construction (`solver.complete_labeling`), raises
-the second.
+discrepancy ledger, 2 on any ValueError or OSError: an input that does not
+parse or validate, a file that cannot be read or written, an instance
+beyond a documented bound.  Every input error and bound of the package
+subclasses ValueError.  Only a RuntimeError escapes as a traceback: it
+signals a bug, not a bound.  A construction recipe raises ContractError
+when it has no labeling to give, and a labeling that fails verification,
+whether a search witness or a recipe's construction
+(`solver.complete_labeling`), raises WitnessError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 
 from .abelian import (
     LITERAL_TABLE_MAX_ORDER,
-    GroupError,
     enumerate_abelian_groups,
     exponent,
     involutions,
@@ -26,20 +26,10 @@ from .abelian import (
     squares,
 )
 from .characterize import classify_group_vertex_magic, construct_labeling, predict
-from .families import (
-    FamilyError,
-    atlas_entries,
-    build,
-    parse_instance,
-)
-from .graphs import GraphError, classify_vertices, read_graph_file, to_dot
-from .labeling import (
-    InvalidLabelingError,
-    parse_labeling,
-    verify_magic,
-    weight,
-)
-from .solver import SolverBoundError, count_magic, exists_magic
+from .families import atlas_entries, build, parse_instance
+from .graphs import classify_vertices, read_graph_file, to_dot
+from .labeling import parse_labeling, verify_magic, weight
+from .solver import count_magic, exists_magic
 from .workbench import (
     audit_families,
     crosscheck,
@@ -47,10 +37,6 @@ from .workbench import (
     emit_records,
     standard_catalog,
 )
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _load_target(target: str):
@@ -61,8 +47,8 @@ def _load_target(target: str):
         return g, None
     try:
         inst = parse_instance(target)
-    except FamilyError as exc:
-        raise _UsageError(
+    except ValueError as exc:
+        raise ValueError(
             f"{target!r} is neither a family instance nor a readable file "
             f"({exc})"
         )
@@ -74,7 +60,7 @@ def _check_order(name: str, order: int, command: str) -> None:
     """Refuse a group order past the bound of a command that lists every
     element of a group, or every group up to an order."""
     if order > LITERAL_TABLE_MAX_ORDER:
-        raise _UsageError(
+        raise ValueError(
             f"{name} = {order} exceeds the {command} bound "
             f"{LITERAL_TABLE_MAX_ORDER}"
         )
@@ -282,9 +268,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (_UsageError, GroupError, GraphError, FamilyError,
-            InvalidLabelingError, SolverBoundError, OSError,
-            UnicodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

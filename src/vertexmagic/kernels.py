@@ -1,8 +1,10 @@
 """Hot kernels: the canonical-form search and the magic-labeling DFS.
 
   min_code(g, cells)                   canonical-form search
-  search_exists(...)                   one mu-slice of the magic-labeling DFS
-  search_count(...)                    exact solution count for one mu-slice
+  search_exists(neigh, pend, support, tables, mu)
+                                       one mu-slice of the magic-labeling DFS
+  search_count(neigh, pend, support, tables, mu)
+                                       exact solution count for one mu-slice
 
 The canonical-form search keeps the code as one integer word per position
 (that position's adjacency bits against the earlier ones), splits each cell
@@ -11,13 +13,15 @@ recurses and sorts only where a cell has two or more classes left.  Leaves
 that tie the incumbent give automorphisms, which cut the search where they
 fix the placed vertices.
 
-Both labeling searches run one DFS over a pendant-free core.  Each
-support's pendant bunch enters it only through `_bunch_ways`: the search
-needs a nonzero number of ways to reach mu, and a completed core labeling
-counts as the product of those numbers.  Search-node counts are deterministic.  Labels
+Both labeling searches run one DFS over a pendant-free core, and take it
+as `solver._plan` holds it: `neigh`, `pend` and `support`, one entry per
+core vertex.  Each support is labelled mu first, and its pendant bunch
+enters the search only through `_bunch_ways`: the search needs a nonzero
+number of ways to reach mu, and a completed core labeling counts as the
+product of those numbers.  Search-node counts are deterministic.  Labels
 are element indices into a group's lexicographic element order: index 0 is
-the zero element, `add` is the flat m*m addition table and `neg` the
-negation table.
+the zero element, and `tables` is `abelian.cayley_tables`'s (m, add, neg),
+with `add` the flat m*m addition table and `neg` the negation table.
 """
 
 from __future__ import annotations
@@ -247,13 +251,11 @@ class _Search:
         "labels", "unl", "psum", "nodes",
     )
 
-    def __init__(self, n, neigh, pend, m, add, neg, mu):
-        self.n = n
+    def __init__(self, neigh, pend, tables, mu):
+        self.n = n = len(neigh)
         self.neigh = neigh
         self.pend = pend
-        self.m = m
-        self.add = add
-        self.neg = neg
+        self.m, self.add, self.neg = tables
         self.mu = mu
         self.labels = [-1] * n
         self.unl = [len(neigh[v]) for v in range(n)]
@@ -317,15 +319,13 @@ class _Search:
                 psum[w] = add[psum[w] * m + neg[val]]
                 unl[w] += 1
 
-    def init_forced(self, forced) -> bool:
+    def start(self, support) -> bool:
+        """Label every support mu, then check the neighbourhoods already
+        complete; False on a dead end."""
         trail: list[int] = []
-        for v, val in enumerate(forced):
-            if val >= 0:
-                if self.labels[v] < 0:
-                    if not self.assign(v, val, trail):
-                        return False
-                elif self.labels[v] != val:
-                    return False
+        for v, s in enumerate(support):
+            if s and not self.assign(v, self.mu, trail):
+                return False
         for v in range(self.n):
             if self.unl[v] == 0 and not self._check(v):
                 return False
@@ -366,25 +366,29 @@ def _solutions(st: _Search, first: bool) -> int:
     return total
 
 
-def search_exists(n, neigh, pend, forced, m, add, neg, mu):
+def search_exists(neigh, pend, support, tables, mu):
     """First magic assignment of the pendant-free core for this mu, if any.
 
-    Returns (labels | None, nodes).  Support vertices carry `pend[v]` hanging
-    pendants whose labels are aggregated into a sum-feasibility constraint;
-    the caller materializes them afterwards.
+    The core is `len(neigh)` vertices, `neigh[v]` their core neighbours,
+    `pend[v]` the size of v's pendant bunch and `support[v]` whether v is a
+    support, labelled mu; `tables` is `abelian.cayley_tables`'s (m, add, neg)
+    and mu an element index.  Returns (labels | None, nodes).  The pendant
+    labels are aggregated into a sum-feasibility constraint; the caller
+    materializes them afterwards.
     """
-    st = _Search(n, neigh, pend, m, add, neg, mu)
-    if st.init_forced(forced) and _solutions(st, first=True):
+    st = _Search(neigh, pend, tables, mu)
+    if st.start(support) and _solutions(st, first=True):
         return list(st.labels), st.nodes
     return None, st.nodes
 
 
-def search_count(n, neigh, pend, forced, m, add, neg, mu):
-    """Exact number of magic labelings with this mu, pendants included.
+def search_count(neigh, pend, support, tables, mu):
+    """Exact number of magic labelings with this mu, pendants included, on
+    `search_exists`'s arguments.
 
     Returns (count, nodes).
     """
-    st = _Search(n, neigh, pend, m, add, neg, mu)
-    if not st.init_forced(forced):
+    st = _Search(neigh, pend, tables, mu)
+    if not st.start(support):
         return 0, st.nodes
     return _solutions(st, first=False), st.nodes

@@ -379,13 +379,10 @@ def exists_magic(g: Graph, spec: GroupSpec) -> SolveOutcome:
     slices = _open_slices(spec, key)
     if not slices:
         return _CLOSED
-    m, add, neg = cayley_tables(spec)
+    tables = cayley_tables(spec)
     nodes = 0
     for mu in slices:
-        forced = [mu if s else -1 for s in support]
-        labels, nd = kernels.search_exists(
-            len(core), neigh, pend, forced, m, add, neg, mu
-        )
+        labels, nd = kernels.search_exists(neigh, pend, support, tables, mu)
         nodes += nd
         if labels is None:
             continue
@@ -410,15 +407,12 @@ def count_magic(g: Graph, spec: GroupSpec) -> int:
         raise SolverBoundError(
             f"|A| = {spec.order} exceeds the counting bound {COUNT_MAX_ORDER}"
         )
-    m, add, neg = cayley_tables(spec)
+    tables = cayley_tables(spec)
     _, size = mu_orbits(spec)
-    core, neigh, pend, support, _, _, key = _plan(g)
+    _, neigh, pend, support, _, _, key = _plan(g)
     total = 0
     for mu in _open_slices(spec, key):
-        forced = [mu if s else -1 for s in support]
-        cnt, _ = kernels.search_count(
-            len(core), neigh, pend, forced, m, add, neg, mu
-        )
+        cnt, _ = kernels.search_count(neigh, pend, support, tables, mu)
         total += cnt * size[mu]
     return total
 

@@ -13,12 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .abelian import (
-    GroupError,
-    GroupSpec,
-    enumerate_abelian_groups,
-    parse_group,
-)
+from .abelian import GroupSpec, enumerate_abelian_groups, parse_group
 from .characterize import MAGIC, NOT_COVERED, NOT_MAGIC, predict
 from .families import (
     FamilyInstance,
@@ -32,7 +27,7 @@ from .families import (
     recognize_code,
 )
 from .graphs import Graph, GraphError
-from .labeling import InvalidLabelingError, parse_labeling, verify_magic
+from .labeling import parse_labeling, verify_magic
 from .solver import SolverBoundError, exists_magic
 
 GRID_MAX_PARAM = 3
@@ -148,43 +143,43 @@ def discrepancies(records: list[VerdictRecord]) -> list[VerdictRecord]:
 def recheck_record(rec: VerdictRecord) -> bool:
     """Re-establish a record's oracle outcome from its own contents.
 
-    Never raises on a row's contents: a row whose instance, group or
-    labeling does not parse or validate fails the recheck.  A skipped row
-    passes only if the solver really refuses its pair.  The row's other
-    fields must fit that outcome (`_fields_fit`), and `n` must be the built
-    instance's order.  `rule` and `note` are not checked: that would take a
-    `predict` call per row.
+    Never raises on a row's contents: a ValueError, the package's refusal
+    of an input or a bound, fails the recheck wherever the row's instance,
+    group or labeling raises it, in parsing, building, verifying or
+    searching.  A skipped row passes only if the solver really refuses its
+    pair (SolverBoundError).  The row's other fields must fit that outcome
+    (`_fields_fit`), and `n` must be the built instance's order.  `rule` and
+    `note` are not checked: that would take a `predict` call per row.
     """
     if not _fields_fit(rec):
         return False
     try:
         g, _ = build(parse_instance(rec.instance))
         spec = parse_group(rec.group)
-    except (FamilyError, GraphError, GroupError):
-        return False
-    if rec.n != g.n:
-        return False
-    if rec.oracle == "witness":
-        try:
-            cert = verify_magic(g, parse_labeling(spec, rec.witness, g.n))
-        except (GroupError, InvalidLabelingError):
+        if rec.n != g.n:
             return False
-        return cert is not None and str(cert.constant) == rec.mu
-    try:
+        if rec.oracle == "witness":
+            cert = verify_magic(g, parse_labeling(spec, rec.witness, g.n))
+            return cert is not None and str(cert.constant) == rec.mu
         out = exists_magic(g, spec)
     except SolverBoundError:
         return rec.oracle == "skipped"
+    except ValueError:
+        return False
     return rec.oracle == "exhausted" and not out.is_witness
 
 
 def _fields_fit(rec: VerdictRecord) -> bool:
-    """The plain comparisons a row must pass: string instance and group, a
-    known theorem outcome, a nonnegative integer node count (0 when
-    skipped), a string witness and mu when the oracle found a witness and
-    neither otherwise, and `agree` as `_agreement` derives it.  A field of
-    the wrong JSON type fails here, before anything parses or hashes it."""
+    """The plain comparisons a row must pass: string instance and group, an
+    integer n, a known theorem outcome, a nonnegative integer node count (0
+    when skipped), a string witness and mu when the oracle found a witness
+    and neither otherwise, and `agree` as `_agreement` derives it.  A field
+    of the wrong JSON type fails here, before anything parses or hashes
+    it."""
     nodes = rec.nodes
     if type(rec.instance) is not str or type(rec.group) is not str:
+        return False
+    if type(rec.n) is not int:
         return False
     if type(rec.theorem) is not str or rec.theorem not in _THEOREMS:
         return False
@@ -208,6 +203,10 @@ def emit_records(records: list[VerdictRecord], path) -> None:
 
 
 def load_records(path) -> list[VerdictRecord]:
+    """The records of an emitted file, one JSON object per nonblank line.
+    A line that does not decode to a record (a ValueError or TypeError,
+    such as malformed JSON, an over-long integer or a missing field) raises
+    ValueError naming the path and the line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -216,7 +215,7 @@ def load_records(path) -> list[VerdictRecord]:
                 continue
             try:
                 out.append(VerdictRecord.from_json(line))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: bad record on line {lineno}: {exc}")
     return out
 

@@ -244,6 +244,9 @@ def test_parse_and_render():
     assert str(GroupSpec((2, 4))) == "Z2+Z4"
     with pytest.raises(GroupError):
         parse_group("Q8")
+    # a superscript two is a digit to str.isdigit, but not to int
+    with pytest.raises(GroupError, match="cannot parse group factor"):
+        parse_group("Z²")
 
 
 @given(specs_small)

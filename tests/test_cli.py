@@ -266,14 +266,24 @@ def test_solve_beyond_group_order_bound_exits_cleanly(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+NINES = "9" * 5_000  # past sys.get_int_max_str_digits(), 4,300 by default
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "{graph}", "--group", "Z3"],
     ["solve", "M11(a,0)", "--group", "Z3"],
     ["verify", "C3", "--group", "Z3", "--labels", "v0=x,v1=1,v2=1"],
     ["verify", "C4", "--group", "Z4", "--labels", "v0=1,v1=1,v2=1,v3=1,v0=3"],
     ["verify", "C3", "--group", "Z3", "--labels", "v+0=1,v1=1,v2=1"],
+    # numerals int() refuses: too long, or not ASCII
+    ["group", "info", f"Z{NINES}"],
+    ["group", "info", "Z²"],
+    ["solve", f"C{NINES}", "--group", "Z3"],
+    ["solve", "C4", "--group", "Z3+Z²"],
+    ["verify", "C4", "--group", "Z3", "--labels", f"v{NINES}=1"],
 ], ids=["graph-file-edge", "instance-param", "label-element", "label-named-twice",
-        "label-bad-name"])
+        "label-bad-name", "group-digits", "group-superscript", "instance-digits",
+        "solve-group-superscript", "label-digits"])
 def test_malformed_number_exits_cleanly(argv, tmp_path, capsys):
     graph = tmp_path / "bad.txt"
     graph.write_text("3\n0 1\n1 x\n")

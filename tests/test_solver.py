@@ -350,13 +350,13 @@ def _reference_exists(g, spec):
     neigh = tuple(
         tuple(core_index[w] for w in g.adj[v] if w in core_index) for v in core
     )
+    support = [v in supports for v in core]
     nodes = 0
     for mu in range(m):
         if supports and mu == 0:
             continue
-        forced = [mu if v in supports else -1 for v in core]
         labels, nd = kernels.search_exists(
-            len(core), neigh, pend_count, forced, m, add, neg, mu
+            neigh, pend_count, support, (m, add, neg), mu
         )
         nodes += nd
         if labels is None:

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vertexmagic import abelian, canon, families
 from vertexmagic.abelian import GroupError, enumerate_abelian_groups, parse_group
@@ -19,6 +20,8 @@ from vertexmagic.workbench import (
     standard_catalog,
     standard_grid,
 )
+
+NINES = "9" * 5_000  # past sys.get_int_max_str_digits(), 4,300 by default
 
 
 def test_standard_grid_contents(grid):
@@ -114,6 +117,18 @@ def test_load_rejects_corrupt_line(tmp_path, campaign):
         load_records(path)
 
 
+def test_load_rejects_an_overlong_integer(tmp_path, campaign):
+    path = tmp_path / "records.jsonl"
+    emit_records(campaign[:3], path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    lines[1] = json.dumps(row).replace(
+        f'"nodes": {row["nodes"]}', f'"nodes": {NINES}')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: bad record on line 2"):
+        load_records(path)
+
+
 def test_records_self_contained(campaign):
     sample = [r for r in campaign if r.oracle == "witness"][:25]
     sample += [r for r in campaign if r.oracle == "exhausted"][:10]
@@ -142,6 +157,11 @@ def test_ledger_entry_synthesis():
     ("instance", "G2(x)"),  # does not parse
     ("instance", "C2"),  # parses, but no such graph
     ("oracle", "skipped"),  # the solver does not refuse this pair
+    # numerals int() refuses: too long, or not ASCII
+    pytest.param("instance", f"C{NINES}", id="instance-digits"),
+    pytest.param("group", f"Z{NINES}", id="group-digits"),
+    pytest.param("group", "Z²", id="group-superscript"),
+    pytest.param("witness", f"v{NINES}=1", id="witness-digits"),
 ])
 def test_tampered_witness_row_fails_recheck(field, tampered):
     """A witness row whose literal does not parse or validate over its
@@ -226,6 +246,8 @@ def test_inconsistent_row_fails_recheck(group, field, tampered):
     ("Z3", "theorem", ["magic"]),
     ("Z2+Z2", "witness", 7),
     ("Z2+Z2", "mu", 7),
+    ("Z3", "n", 5.0),  # equal to the order 5, but not a JSON integer
+    ("Z2+Z2", "n", 5.0),
 ])
 def test_row_of_the_wrong_json_type_fails_recheck(group, field, wrong):
     """A row read back from JSON with a field of the wrong type fails the
@@ -238,6 +260,21 @@ def test_row_of_the_wrong_json_type_fails_recheck(group, field, wrong):
     assert recheck_record(rec)
     row = {**json.loads(rec.to_json()), field: wrong}
     assert not recheck_record(VerdictRecord.from_json(json.dumps(row)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["instance", "group", "witness", "mu"]), st.text())
+@example("instance", f"C{NINES}")
+@example("group", f"Z{NINES}")
+@example("group", "Z²")
+@example("witness", f"v{NINES}=1")
+def test_recheck_never_raises_on_text(field, text):
+    """Any text in a row's instance, group, witness or mu gives a verdict,
+    never an exception."""
+    inst = parse_instance("G2(1,0)")
+    g, _ = families.build(inst)
+    rec = _one_record(inst, inst.render(), g, parse_group("Z2+Z2"), "Z2+Z2")
+    assert isinstance(recheck_record(VerdictRecord(**{**vars(rec), field: text})), bool)
 
 
 def test_skipped_row_rechecks_by_the_solver_bound():
