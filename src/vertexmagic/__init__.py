@@ -12,7 +12,7 @@ from .abelian import (
 )
 from .graphs import Graph
 from .labeling import Labeling, MagicCertificate, verify_magic
-from .solver import SolveOutcome, count_magic, exists_magic, z2_magic
+from .solver import SolveOutcome, count_magic, exists_magic
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,5 @@ __all__ = [
     "exists_magic",
     "parse_group",
     "verify_magic",
-    "z2_magic",
     "__version__",
 ]

@@ -108,13 +108,6 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.factors)
 
-    @property
-    def is_canonical(self) -> bool:
-        return all(
-            self.factors[i + 1] % self.factors[i] == 0
-            for i in range(len(self.factors) - 1)
-        )
-
     def canonical(self) -> "GroupSpec":
         """Invariant-factor form d_1 | d_2 | ... | d_k."""
         primary: dict[int, list[int]] = {}
@@ -124,9 +117,6 @@ class GroupSpec:
         return GroupSpec(_invariant_factors(
             [(p, sorted(exps, reverse=True)) for p, exps in primary.items()]
         ))
-
-    def isomorphic_to(self, other: "GroupSpec") -> bool:
-        return self.canonical().factors == other.canonical().factors
 
     def exponent(self) -> int:
         return lcm(*self.factors)
@@ -214,10 +204,6 @@ class GroupElement:
         if len(self.residues) == 1:
             return str(self.residues[0])
         return "(" + ",".join(str(r) for r in self.residues) + ")"
-
-
-def exponent(spec: GroupSpec) -> int:
-    return spec.exponent()
 
 
 @lru_cache(maxsize=None)
@@ -330,21 +316,6 @@ def _extend(spec: GroupSpec, images) -> list[int]:
     return phi
 
 
-def automorphisms(spec: GroupSpec) -> list[dict[GroupElement, GroupElement]]:
-    """All group automorphisms, as element maps.  Intended for |A| <= ~16."""
-    elems = spec.elements()
-    out = []
-    # generator images must preserve order; bijectivity then certifies a hom
-    candidates = [
-        [i for i, a in enumerate(elems) if a.order() == f] for f in spec.factors
-    ]
-    for images in product(*candidates):
-        phi = _extend(spec, images)
-        if len(set(phi)) == len(elems):
-            out.append({a: elems[phi[i]] for i, a in enumerate(elems)})
-    return out
-
-
 # --- parsing and rendering -------------------------------------------------
 
 _ALIASES = {"V4": (2, 2)}
@@ -393,6 +364,16 @@ def literal_table(spec: GroupSpec) -> dict[str, GroupElement]:
     return {str(e): e for e in spec.elements()}
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits after an optional sign; any other numeral,
+    such as `٣` or `1_0`, raises ValueError."""
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII numeral: {text!r}")
+    return int(s)
+
+
 def parse_element(spec: GroupSpec, text: str) -> GroupElement:
     """Parse `3` or `(1,0)` as an element of spec.
 
@@ -413,9 +394,9 @@ def parse_element(spec: GroupSpec, text: str) -> GroupElement:
     try:
         if is_tuple:
             parts = [p for p in s[1:-1].split(",") if p.strip() != ""]
-            residues = tuple(int(p) for p in parts)
+            residues = tuple(_ascii_int(p) for p in parts)
         else:
-            residues = int(s)
+            residues = _ascii_int(s)
     except ValueError as exc:
         raise GroupError(f"bad number in element {text!r}") from exc
     return spec.element(residues)

@@ -20,7 +20,6 @@ import sys
 from .abelian import (
     LITERAL_TABLE_MAX_ORDER,
     enumerate_abelian_groups,
-    exponent,
     involutions,
     parse_group,
     squares,
@@ -79,7 +78,7 @@ def _cmd_group(args) -> int:
     print(f"group: {spec}")
     print(f"canonical: {canon}")
     print(f"order: {spec.order}")
-    print(f"exponent: {exponent(spec)}")
+    print(f"exponent: {spec.exponent()}")
     print("involutions:", " ".join(str(x) for x in sorted(
         involutions(spec), key=spec.index_of)) or "none")
     print("squares:", " ".join(str(x) for x in sorted(

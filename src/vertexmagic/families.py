@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import MappingProxyType
 
-from .abelian import PARSE_CACHE_SIZE, _partitions
+from .abelian import PARSE_CACHE_SIZE, _ascii_int, _partitions
 from .canon import CANON_MAX_N, canonical_code
 from .graphs import (
     INPUT_MAX_N,
@@ -785,7 +785,7 @@ def parse_instance(text: str) -> FamilyInstance:
     malformed literal is not cached, so it raises on every call.
     """
     s = text.strip()
-    m = re.fullmatch(r"C(YCLE)?\((\d+)\)|C(\d+)", s, re.IGNORECASE)
+    m = re.fullmatch(r"C(YCLE)?\((\d+)\)|C(\d+)", s, re.IGNORECASE | re.ASCII)
     if m:
         k = int(m.group(2) or m.group(3))
         return FamilyInstance("CYCLE", (k,))
@@ -817,9 +817,9 @@ def parse_instance(text: str) -> FamilyInstance:
 
 
 def _ints(body: str, text: str) -> tuple[int, ...]:
-    """The comma-separated integers of body; text is the whole literal."""
+    """The comma-separated ASCII integers of body; text is the whole literal."""
     try:
-        return tuple(int(x) for x in body.split(",") if x.strip())
+        return tuple(_ascii_int(x) for x in body.split(",") if x.strip())
     except ValueError as exc:
         raise FamilyError(f"bad number in {text!r}") from exc
 
@@ -907,15 +907,10 @@ def _bicyclic_bases(n_max: int) -> list[Graph]:
 
 
 def enumerate_connected(n_max: int, rank: int, diam: int) -> list[Graph]:
-    """The representatives of `enumerate_classes`, in code order."""
-    return list(enumerate_classes(n_max, rank, diam).values())
-
-
-def enumerate_classes(n_max: int, rank: int, diam: int) -> dict[bytes, Graph]:
     """One representative per isomorphism class with the given cycle rank and
-    diameter, n <= n_max, keyed by canonical code in code order: the `diam`
-    entry of `classes_by_diameter`."""
-    return classes_by_diameter(n_max, rank, diam).get(diam, {})
+    diameter, n <= n_max, in canonical-code order: the `diam` entry of
+    `classes_by_diameter`."""
+    return list(classes_by_diameter(n_max, rank, diam).get(diam, {}).values())
 
 
 def classes_by_diameter(

@@ -179,11 +179,6 @@ def pendant_bunches(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(bunches)
 
 
-def support_vertices(g: Graph) -> list[int]:
-    """Vertices with a pendant neighbour, ascending; needs no diameter."""
-    return [v for v, bunch in enumerate(pendant_bunches(g)) if bunch]
-
-
 def cycle_rank(g: Graph) -> int:
     return g.m - g.n + 1
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import lshift, mod
 
 from .abelian import GroupElement, GroupSpec, literal_table, parse_element
-from .graphs import Graph, GraphError, support_vertices
+from .graphs import Graph, GraphError
 
 
 class InvalidLabelingError(ValueError):
@@ -139,11 +139,6 @@ def verify_magic(g: Graph, lab: Labeling) -> MagicCertificate | None:
     return MagicCertificate(GroupElement(lab.group, weights.pop()))
 
 
-def check_support_forcing(g: Graph, cert: MagicCertificate, lab: Labeling) -> bool:
-    """Every support vertex must carry the magic constant; exposed self-check."""
-    return all(lab.values[v] == cert.constant for v in support_vertices(g))
-
-
 def _split_top_level(text: str) -> list[str]:
     """Split on commas outside parentheses, so `v0=(1,0)` stays whole."""
     chunks = []
@@ -218,9 +213,3 @@ def parse_labeling(spec: GroupSpec, text: str, n: int) -> Labeling:
             f"labeling must cover v0..v{n - 1} exactly, got {sorted(values)}"
         )
     return Labeling(spec, tuple(values[i] for i in range(n)))
-
-
-def apply_automorphism(
-    lab: Labeling, phi: dict[GroupElement, GroupElement]
-) -> Labeling:
-    return Labeling(lab.group, tuple(phi[x] for x in lab.values))

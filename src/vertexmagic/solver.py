@@ -76,7 +76,7 @@ from math import gcd
 
 from . import kernels
 from .abelian import GroupSpec, cayley_tables, mu_orbits
-from .graphs import Graph, degrees_same_parity, pendant_bunches
+from .graphs import Graph, pendant_bunches
 from .labeling import Labeling, MagicCertificate, verify_magic
 
 EXISTS_MAX_N = 13
@@ -116,18 +116,6 @@ class SolveOutcome:
     @property
     def status(self) -> str:
         return "witness" if self.labeling is not None else "exhausted"
-
-
-@dataclass(frozen=True)
-class EmpiricalVerdict:
-    """Catalog sweep result: first refuting group, or survival (evidence)."""
-
-    refuted_by: GroupSpec | None
-    nodes: int
-
-    @property
-    def survives(self) -> bool:
-        return self.refuted_by is None
 
 
 def _hermite(rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -415,27 +403,3 @@ def count_magic(g: Graph, spec: GroupSpec) -> int:
         cnt, _ = kernels.search_count(neigh, pend, support, tables, mu)
         total += cnt * size[mu]
     return total
-
-
-def z2_magic(g: Graph) -> bool:
-    """Z2 criterion: magic over Z2 exactly when all degrees share a parity."""
-    return degrees_same_parity(g)
-
-
-def is_group_vertex_magic_empirical(
-    g: Graph, catalog: tuple[GroupSpec, ...]
-) -> EmpiricalVerdict:
-    """First catalog group with no magic labeling, else survival.
-
-    Survival across a finite catalog is evidence, not a proof, of group
-    vertex magicness; refutation is a proof.
-    """
-    if len(catalog) == 0:
-        raise ValueError("catalog must be nonempty")
-    nodes = 0
-    for spec in catalog:
-        out = exists_magic(g, spec)
-        nodes += out.nodes
-        if not out.is_witness:
-            return EmpiricalVerdict(spec, nodes)
-    return EmpiricalVerdict(None, nodes)

@@ -281,9 +281,13 @@ NINES = "9" * 5_000  # past sys.get_int_max_str_digits(), 4,300 by default
     ["solve", f"C{NINES}", "--group", "Z3"],
     ["solve", "C4", "--group", "Z3+Z²"],
     ["verify", "C4", "--group", "Z3", "--labels", f"v{NINES}=1"],
+    # numerals int() reads but that are not ASCII digits
+    ["solve", "C\u0665", "--group", "Z3"],
+    ["verify", "C3", "--group", "Z16", "--labels", "v0=1_0,v1=1,v2=1"],
 ], ids=["graph-file-edge", "instance-param", "label-element", "label-named-twice",
         "label-bad-name", "group-digits", "group-superscript", "instance-digits",
-        "solve-group-superscript", "label-digits"])
+        "solve-group-superscript", "label-digits", "instance-arabic-indic",
+        "label-underscore"])
 def test_malformed_number_exits_cleanly(argv, tmp_path, capsys):
     graph = tmp_path / "bad.txt"
     graph.write_text("3\n0 1\n1 x\n")

@@ -19,7 +19,6 @@ from vertexmagic.families import (
     build,
     canonical_instance,
     classes_by_diameter,
-    enumerate_classes,
     enumerate_connected,
     parse_instance,
     recognize,
@@ -126,6 +125,7 @@ def test_parse_render_roundtrip():
         inst = parse_instance(text)
         again = parse_instance(inst.render())
         assert again == inst
+    assert parse_instance(" M11( +0 , 1 ) ").render() == "M11(0,1)"
 
 
 def test_parse_arity_disambiguates_g1():
@@ -234,7 +234,7 @@ def test_enumerate_is_deduplicated():
     gs = enumerate_connected(8, 1, 3)
     codes = [canonical_code(g) for g in gs]
     assert len(codes) == len(set(codes))
-    by_code = enumerate_classes(8, 1, 3)
+    by_code = classes_by_diameter(8, 1, 3)[3]
     assert list(by_code) == codes
     assert list(by_code.values()) == gs
     for code, g in by_code.items():
@@ -289,7 +289,7 @@ def test_one_growth_serves_every_diameter(rank):
     by_diam = classes_by_diameter(8, rank, 4)
     assert sorted(by_diam) == [0, 1, 2, 3, 4]
     for diam in range(5):
-        want = enumerate_classes(8, rank, diam)
+        want = classes_by_diameter(8, rank, diam)[diam]
         assert list(by_diam[diam]) == list(want)
         # the same representatives, not just the same classes
         assert [g.edges for g in by_diam[diam].values()] == [
@@ -380,7 +380,10 @@ def test_gensun_build_rejects_variant_and_hub(inst):
 
 
 def test_parse_rejects_malformed_numbers():
-    for text in ("M11(a,0)", "H2(1,1,1;hub=[2,2x])", "GENSUN(1,b,0)"):
+    # int() and a Unicode `\\d` also read non-ASCII digits and `_` separators
+    for text in ("M11(a,0)", "H2(1,1,1;hub=[2,2x])", "GENSUN(1,b,0)",
+                 "C\u0665", "CYCLE(\u0665)", "M11(0,\u0660)", "M11(0,1_0)",
+                 "GENSUN(1,0,\u0662)"):
         with pytest.raises(FamilyError):
             parse_instance(text)
 

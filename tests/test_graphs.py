@@ -19,7 +19,6 @@ from vertexmagic.graphs import (
     lemma0_obstruction,
     pendant_bunches,
     read_graph_file,
-    support_vertices,
     to_dot,
     twin_roots,
     two_core,
@@ -183,15 +182,12 @@ def test_classify_matches_definitions_on_random_graphs():
             assert (v in prof.weak_supports) == (nb_pendants == 1)
             assert (v in prof.strong_supports) == (nb_pendants >= 2)
         assert prof.cycle_rank == g.m - g.n + 1
-        assert support_vertices(g) == sorted(prof.supports)
 
 
-def test_support_vertices_tiny():
-    assert support_vertices(Graph.from_edges(1, [])) == []
-    assert support_vertices(Graph.from_edges(2, [(0, 1)])) == [0, 1]
+def test_pendant_bunches_tiny():
     assert pendant_bunches(Graph.from_edges(1, [])) == ((),)
     assert pendant_bunches(Graph.from_edges(2, [(0, 1)])) == ((1,), (0,))
-    assert support_vertices(cycle(5)) == []
+    assert pendant_bunches(cycle(5)) == ((),) * 5
 
 
 def test_graph_file_roundtrip():

@@ -19,7 +19,7 @@ from vertexmagic.abelian import (
     parse_group,
 )
 from vertexmagic.families import build, enumerate_connected, parse_instance, recognize
-from vertexmagic.graphs import Graph
+from vertexmagic.graphs import Graph, degrees_same_parity
 from vertexmagic.labeling import parse_labeling, verify_magic
 from vertexmagic.oracle import OracleBoundError, naive_count, naive_exists
 from vertexmagic import solver
@@ -29,10 +29,8 @@ from vertexmagic.solver import (
     WitnessError,
     count_magic,
     exists_magic,
-    is_group_vertex_magic_empirical,
     lattice_facts,
     torsion_facts,
-    z2_magic,
 )
 from vertexmagic.workbench import standard_catalog, standard_grid
 
@@ -94,15 +92,15 @@ def test_z2_shortcut_matches_search():
     for text in ("G1(1,1,1)", "G2(1,0)", "C6", "M10(0,0)", "M11(0,0)",
                  "H1(0,0;hub=[1])"):
         g, _ = build(parse_instance(text))
-        assert z2_magic(g) == exists_magic(g, Z2).is_witness
+        assert degrees_same_parity(g) == exists_magic(g, Z2).is_witness
 
 
 def test_z2_examples():
     g, _ = build(parse_instance("G1(1,1,1)"))
-    assert z2_magic(g)
+    assert degrees_same_parity(g)
     h1, _ = build(parse_instance("H1(0,0;hub=[2])"))
-    assert not z2_magic(h1)
-    assert z2_magic(cycle(6))
+    assert not degrees_same_parity(h1)
+    assert degrees_same_parity(cycle(6))
 
 
 # (n, group, witness, mu, nodes) of K1 and K2, frozen values; for n <= 2 the
@@ -269,13 +267,15 @@ def test_naive_count_memory_is_bounded():
 
 
 def test_empirical_catalog_verdicts(catalog8):
-    m11, _ = build(parse_instance("M11(0,0)"))
-    assert is_group_vertex_magic_empirical(m11, catalog8).survives
-    m10, _ = build(parse_instance("M10(0,0)"))
-    verdict = is_group_vertex_magic_empirical(m10, catalog8)
-    assert verdict.refuted_by == Z3
-    g1, _ = build(parse_instance("G1(2)"))
-    assert not is_group_vertex_magic_empirical(g1, catalog8).survives
+    def first_refuter(text):
+        g, _ = build(parse_instance(text))
+        return next(
+            (s for s in catalog8 if not exists_magic(g, s).is_witness), None
+        )
+
+    assert first_refuter("M11(0,0)") is None
+    assert first_refuter("M10(0,0)") == Z3
+    assert first_refuter("G1(2)") is not None
 
 
 def test_mu_zero_witness_allowed():
