@@ -12,9 +12,12 @@ the search's witnesses go through, which fills the pendant bunches and
 verifies the result.  Like the search, it works on the m*m Cayley table,
 so it refuses groups of order above `solver.EXISTS_MAX_ORDER`.  Z2 is
 answered by the parity criterion and position variants are not covered.
-`classify_group_vertex_magic` stacks the structural rules (regularity, the
-shared-neighborhood obstruction, the Z2 parity criterion) ahead of the
-per-diameter characterizations.
+`classify_group_vertex_magic` decides on the structural rules (regularity,
+the shared-neighborhood obstruction, the Z2 parity criterion); past them a
+recognized family only names its statement.  Parity settles what the
+statements would test: with a pendant present every degree is odd, so each
+cycle vertex of a sun carries a bunch and each hub child of UD4-H2 carries
+two or more pendants.
 
 Two predicates deviate knowingly from their published statements because
 the published versions fail against the search oracle; see the rule notes
@@ -42,10 +45,8 @@ from .graphs import (
     cycle_rank,
     degrees_same_parity,
     diameter,
-    is_generalized_sun,
     lemma0_obstruction,
     pendant_bunches,
-    two_core,
 )
 from .labeling import Labeling
 from .solver import EXISTS_MAX_ORDER, SolverBoundError, complete_labeling
@@ -465,9 +466,11 @@ def classify_group_vertex_magic(g: Graph) -> ClassifyVerdict:
 
     Structural rules run first: regular graphs are always magic; the
     shared-neighborhood obstruction and a parity mismatch are always fatal.
-    The per-diameter characterizations then dispatch on the recognized
-    family.  Graphs outside the characterized classes come back
-    not_covered.
+    Past them a recognized family only names its statement, because parity
+    has settled the conditions the statements test: a graph with a pendant
+    and every degree of one parity has every degree odd, so each cycle
+    vertex of a sun carries a bunch and each hub child of UD4-H2 carries 2
+    or more pendants.  Graphs no family recognizes come back not_covered.
     """
     degs = set(g.degrees)
     if len(degs) == 1:
@@ -496,50 +499,36 @@ def classify_group_vertex_magic(g: Graph) -> ClassifyVerdict:
     # same parity everywhere, not regular, no obstruction
     if inst is None:
         return ClassifyVerdict("not_covered", "NotCovered")
-    fam = inst.family
     if inst.variant is not None:
-        if cycle_rank(g) == 2 and diameter(g) == 3:
-            return ClassifyVerdict("no", "Thm4.15", Z3)
-        return ClassifyVerdict("not_covered", "NotCovered")
+        # every variant is a B3 shape, and build has checked its diameter
+        return ClassifyVerdict("no", "Thm4.15", Z3)
+    fam = inst.family
     if fam == "B3-M11" and inst.pendant_params == (0, 0):
         return ClassifyVerdict("yes", "Thm4.15")
-    if fam == "UD3-G1":
-        if all(q >= 1 and q % 2 == 1 for q in inst.pendant_params):
-            return ClassifyVerdict("yes", "Thm3.3")
-        return ClassifyVerdict("no", "Thm3.3", Z3)
     if fam == "UD4-H2":
-        strong_v1 = inst.pendant_params[0] >= 2
-        strong_children = all(c >= 2 for c in inst.hub_subtrees)
-        if strong_v1 and strong_children:
+        # every hub child's degree is odd, so it carries 2 or more pendants
+        if inst.pendant_params[0] >= 2:
             return ClassifyVerdict("yes", "Thm3.12(i)")
         return ClassifyVerdict("no", "Cor3.8", _h2_refuter(inst))
-    if fam == "UD4-H4":
-        return ClassifyVerdict("yes", "Thm3.12(ii)")
-    if fam == "UD4-H6":
-        return ClassifyVerdict("yes", "Thm3.12(iii)")
     if fam in _SUN_FAMILIES:
-        bunches = pendant_bunches(g)
-        core = two_core(g)
-        if is_generalized_sun(g) and all(
-            bunches[v] and g.degree(v) % 2 == 1 for v in core
-        ):
-            return ClassifyVerdict("yes", "Lemma2.5")
-        return ClassifyVerdict("no", "Lemma2.5", Z3)
-    if fam in _NO_RULES:
-        rule, refuter = _NO_RULES[fam]
-        return ClassifyVerdict("no", rule, refuter)
-    return ClassifyVerdict("not_covered", "NotCovered")
+        # a sun that is not a bare cycle has a pendant, so every degree is
+        # odd and each cycle vertex carries a bunch: the sun lemma holds
+        rule = {
+            "UD3-G1": "Thm3.3", "UD4-H4": "Thm3.12(ii)", "UD4-H6": "Thm3.12(iii)",
+        }.get(fam, "Lemma2.5")
+        return ClassifyVerdict("yes", rule)
+    rule, refuter = _NO_RULES[fam]
+    return ClassifyVerdict("no", rule, refuter)
 
 
 def _h2_refuter(inst: FamilyInstance) -> GroupSpec:
-    """The cyclic group the strong-support corollary names for this instance."""
+    """The cyclic group the strong-support corollary names for an instance
+    whose v1 carries 0 or 1 pendants."""
     g, roles = build(inst)
     d1 = g.degree(roles["v1"])
     if inst.pendant_params[0] == 0:
         return GroupSpec((d1,))
-    if inst.pendant_params[0] == 1:
-        return GroupSpec((d1 - 2,)) if d1 > 4 else Z2
-    return Z3  # weak hub child: every group with |A| >= 3 refutes
+    return GroupSpec((d1 - 2,)) if d1 > 4 else Z2
 
 
 def corollary_refuters() -> dict[str, GroupSpec]:

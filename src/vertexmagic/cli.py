@@ -19,6 +19,7 @@ import sys
 
 from .abelian import (
     LITERAL_TABLE_MAX_ORDER,
+    _ascii_int,
     enumerate_abelian_groups,
     involutions,
     parse_group,
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("group", help="group catalog and structure queries")
     gs = g.add_subparsers(dest="action", required=True)
     gl = gs.add_parser("list")
-    gl.add_argument("--max-order", type=int, default=8)
+    gl.add_argument("--max-order", type=_ascii_int, default=8)
     gi = gs.add_parser("info")
     gi.add_argument("spec")
     g.set_defaults(fn=_cmd_group)
@@ -249,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_classify)
 
     x = sub.add_parser("crosscheck", help="theorem vs oracle campaign")
-    x.add_argument("--max-order", type=int, default=8)
+    x.add_argument("--max-order", type=_ascii_int, default=8)
     x.add_argument("--out", metavar="FILE")
     x.add_argument("--strict", action="store_true")
     x.set_defaults(fn=_cmd_crosscheck)
 
     a = sub.add_parser("audit", help="family-coverage audit")
-    a.add_argument("--nmax", type=int, default=10,
+    a.add_argument("--nmax", type=_ascii_int, default=10,
                    help="largest vertex count, 4..10 (bicyclic: at most 9)")
     a.add_argument("--out", metavar="FILE")
     a.set_defaults(fn=_cmd_audit)

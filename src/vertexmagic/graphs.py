@@ -1,6 +1,6 @@
 """Simple undirected connected graphs and the structural predicates used by
 the labeling theorems: pendant/support classification, diameter, cycle rank,
-generalized-sun detection, and the shared-neighborhood obstruction.
+degree parity, and the shared-neighborhood obstruction.
 
 A graph's identity is n plus its normalised edges.  Its adjacency lists,
 adjacency bitmasks and degrees are derived once, at construction, in one
@@ -18,9 +18,10 @@ the characterizations read it.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+from .abelian import _ascii_int
 
 # the most vertices a graph file or a family instance literal may declare,
 # checked before anything is built: adjacency is Theta(n^2) bits and the
@@ -109,10 +110,6 @@ class Graph:
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    pendants: frozenset[int]
-    supports: frozenset[int]
-    weak_supports: frozenset[int]
-    strong_supports: frozenset[int]
     degrees: tuple[int, ...]
     diameter: int
     cycle_rank: int
@@ -184,45 +181,11 @@ def cycle_rank(g: Graph) -> int:
 
 
 def classify_vertices(g: Graph) -> StructuralProfile:
-    bunches = pendant_bunches(g)
-    size = [len(bunch) for bunch in bunches]
+    """The degrees, diameter and cycle rank that `vmagic family build`
+    prints."""
     return StructuralProfile(
-        pendants=frozenset().union(*bunches),
-        supports=frozenset(v for v in range(g.n) if size[v] >= 1),
-        weak_supports=frozenset(v for v in range(g.n) if size[v] == 1),
-        strong_supports=frozenset(v for v in range(g.n) if size[v] >= 2),
-        degrees=g.degrees,
-        diameter=diameter(g),
-        cycle_rank=cycle_rank(g),
+        degrees=g.degrees, diameter=diameter(g), cycle_rank=cycle_rank(g)
     )
-
-
-def two_core(g: Graph) -> frozenset[int]:
-    """Vertices left after iteratively stripping degree-1 vertices."""
-    deg = list(g.degrees)
-    alive = [True] * g.n
-    todo = deque(v for v in range(g.n) if deg[v] <= 1)
-    while todo:
-        v = todo.popleft()
-        if not alive[v] or deg[v] > 1:
-            continue
-        alive[v] = False
-        for w in g.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    todo.append(w)
-    return frozenset(v for v in range(g.n) if alive[v])
-
-
-def is_generalized_sun(g: Graph) -> bool:
-    """Unicyclic, at least one off-cycle vertex, all off-cycle vertices pendant."""
-    if cycle_rank(g) != 1:
-        return False
-    core = two_core(g)
-    if len(core) == g.n:
-        return False  # bare cycle: the definition requires k < n
-    return all(g.degree(v) == 1 for v in range(g.n) if v not in core)
 
 
 def lemma0_obstruction(g: Graph) -> tuple[int, int] | None:
@@ -269,7 +232,8 @@ def to_dot(
 
 
 def read_graph_file(text: str) -> Graph:
-    """Parse the workbench graph format: first line n, then `u v` per line.
+    """Parse the workbench graph format: first line n, then `u v` per line,
+    each an ASCII numeral.
 
     n is checked before the graph is built: a connected graph has at least
     n - 1 edges, and n may not pass `INPUT_MAX_N`.
@@ -279,7 +243,7 @@ def read_graph_file(text: str) -> Graph:
     if not lines:
         raise GraphError("empty graph file")
     try:
-        n = int(lines[0])
+        n = _ascii_int(lines[0])
     except ValueError as exc:
         raise GraphError(f"bad vertex count line {lines[0]!r}") from exc
     edges = []
@@ -288,7 +252,7 @@ def read_graph_file(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
         except ValueError as exc:
             raise GraphError(f"bad edge line {ln!r}") from exc
     if n > len(edges) + 1:

@@ -12,7 +12,13 @@ from vertexmagic.characterize import (
     corollary_refuters,
     predict,
 )
-from vertexmagic.families import FamilyError, build, parse_instance
+from vertexmagic.families import (
+    FamilyError,
+    build,
+    classes_by_diameter,
+    parse_instance,
+    recognize,
+)
 from vertexmagic.graphs import Graph
 from vertexmagic.labeling import verify_magic
 from vertexmagic.solver import (
@@ -237,6 +243,40 @@ def test_classify_pinned_over_the_grid_and_blind_to_labels(grid):
     assert digest.hexdigest() == (
         "afed22f57355509f7d9c5df17c183fc26d49ee7e357e8a7c1c230a59e472686c"
     )
+
+
+def test_classify_pinned_over_the_audit_scope():
+    """Every class the default audit enumerates (rank 1, diameters 1-4,
+    n <= 10; rank 2, diameter 3, n <= 9), its verdict, rule and refuter
+    hashed against a fixed digest: the undrawn shapes past the grid."""
+    digest = hashlib.sha256()
+    classes = 0
+    for rank, diams, n_max in ((1, (1, 2, 3, 4), 10), (2, (3,), 9)):
+        by_diam = classes_by_diameter(n_max, rank, max(diams))
+        for diam in diams:
+            for g in by_diam[diam].values():
+                v = classify_group_vertex_magic(g)
+                digest.update(f"{rank} {diam} {list(g.edges)} {v.outcome} "
+                              f"{v.rule} {v.refuter}\n".encode())
+                classes += 1
+    assert classes == 568
+    assert digest.hexdigest() == (
+        "488ee3a9755442c4f9dbe1b5d4620a7c09ef674d7a93bb61878dc18763e0cc5d"
+    )
+
+
+def test_classify_past_the_recognition_bound():
+    """M2(0,9,0) has 13 vertices, past CANON_MAX_N, so no family is
+    recognized: the parity mismatch cites the blanket bicyclic theorem, and
+    Z2 refutes.  One pendant fewer, the drawn family's corollary is cited."""
+    g, _ = build(parse_instance("M2(0,9,0)"))
+    assert g.n == 13 and recognize(g) is None
+    v = classify_group_vertex_magic(g)
+    assert (v.outcome, v.rule, v.refuter) == ("no", "Thm4.15", Z2)
+    assert not exists_magic(g, Z2).is_witness
+    g, _ = build(parse_instance("M2(0,8,0)"))
+    v = classify_group_vertex_magic(g)
+    assert (v.outcome, v.rule, v.refuter) == ("no", "Cor4.6", Z2)
 
 
 def test_classify_yes_survives_catalog(grid, catalog8):

@@ -284,17 +284,44 @@ NINES = "9" * 5_000  # past sys.get_int_max_str_digits(), 4,300 by default
     # numerals int() reads but that are not ASCII digits
     ["solve", "C\u0665", "--group", "Z3"],
     ["verify", "C3", "--group", "Z16", "--labels", "v0=1_0,v1=1,v2=1"],
+    ["classify", "{arabic_count}"],
+    ["classify", "{underscore_edge}"],
 ], ids=["graph-file-edge", "instance-param", "label-element", "label-named-twice",
         "label-bad-name", "group-digits", "group-superscript", "instance-digits",
         "solve-group-superscript", "label-digits", "instance-arabic-indic",
-        "label-underscore"])
+        "label-underscore", "graph-file-count-arabic-indic",
+        "graph-file-edge-underscore"])
 def test_malformed_number_exits_cleanly(argv, tmp_path, capsys):
-    graph = tmp_path / "bad.txt"
-    graph.write_text("3\n0 1\n1 x\n")
-    assert main([a.format(graph=graph) for a in argv]) == 2
+    texts = {
+        "graph": "3\n0 1\n1 x\n",
+        "arabic_count": "\u0663\n0 1\n1 2\n",
+        "underscore_edge": "3\n0 1\n1 2\n2 0_0\n",
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text, encoding="utf-8")
+    assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--nmax", "1_0"],
+    ["group", "list", "--max-order", "\u0668"],
+    ["crosscheck", "--max-order", "\u0662"],
+], ids=["audit-nmax-underscore", "group-list-arabic-indic",
+        "crosscheck-arabic-indic"])
+def test_integer_option_not_ascii_exits_2(argv, capsys):
+    """An integer option that is not an ASCII numeral is a usage error:
+    argparse exits 2 before the command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: invalid" in err and "Traceback" not in err
 
 
 def test_cli_imports_without_numpy():

@@ -15,13 +15,11 @@ from vertexmagic.graphs import (
     degrees_same_parity,
     diameter,
     eccentricities,
-    is_generalized_sun,
     lemma0_obstruction,
     pendant_bunches,
     read_graph_file,
     to_dot,
     twin_roots,
-    two_core,
 )
 from vertexmagic.families import build, parse_instance
 
@@ -75,52 +73,30 @@ def test_diameter_examples():
 
 
 def test_classify_path():
+    # pendants 0 and 2, both on the strong support 1
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    prof = classify_vertices(p3)
-    assert prof.pendants == {0, 2}
-    assert prof.supports == {1}
-    assert prof.strong_supports == {1}
-    assert prof.weak_supports == frozenset()
+    assert pendant_bunches(p3) == ((), (0, 2), ())
 
 
 def test_classify_cycle_no_supports():
-    prof = classify_vertices(cycle(4))
-    assert prof.pendants == frozenset()
-    assert prof.supports == frozenset()
+    c4 = cycle(4)
+    assert pendant_bunches(c4) == ((),) * 4
+    prof = classify_vertices(c4)
     assert prof.cycle_rank == 1
+    assert prof.diameter == 2 and prof.degrees == (2, 2, 2, 2)
 
 
 def test_classify_weak_support():
+    # the triangle vertex 0 carries one pendant: a weak support
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-    prof = classify_vertices(g)
-    assert prof.weak_supports == {0}
-    assert prof.strong_supports == frozenset()
+    assert pendant_bunches(g) == ((3,), (), (), ())
 
 
-def test_two_core_and_cycle_rank():
+def test_cycle_rank():
     g, _ = build(parse_instance("G1(1,1,1)"))
     assert cycle_rank(g) == 1
-    assert two_core(g) == {0, 1, 2}
     m11, _ = build(parse_instance("M11(0,0)"))
     assert cycle_rank(m11) == 2
-
-
-def test_generalized_sun():
-    g, _ = build(parse_instance("G1(1,1,1)"))
-    assert is_generalized_sun(g)
-    # a depth-2 tail breaks the sun property
-    tail = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
-    assert not is_generalized_sun(tail)
-    # H7-style sun: C4 with bunches on opposite vertices
-    h7, _ = build(parse_instance("H7(1,0,1)"))
-    assert is_generalized_sun(h7)
-    # bare cycles are excluded: the definition needs off-cycle vertices
-    assert not is_generalized_sun(cycle(5))
-
-
-def test_sun_implies_unicyclic():
-    m11, _ = build(parse_instance("M11(0,0)"))
-    assert not is_generalized_sun(m11)
 
 
 def test_lemma0_obstruction():
@@ -173,15 +149,12 @@ def test_classify_matches_definitions_on_random_graphs():
         g = Graph.from_edges(n, sorted(edges))
         prof = classify_vertices(g)
         pendants = {v for v in range(n) if len(g.adj[v]) == 1}
-        assert prof.pendants == pendants
         bunches = pendant_bunches(g)
+        assert set().union(*bunches) == pendants
         for v in range(n):
             assert bunches[v] == tuple(w for w in g.adj[v] if w in pendants)
-            nb_pendants = sum(1 for w in g.adj[v] if w in pendants)
-            assert (v in prof.supports) == (nb_pendants >= 1)
-            assert (v in prof.weak_supports) == (nb_pendants == 1)
-            assert (v in prof.strong_supports) == (nb_pendants >= 2)
         assert prof.cycle_rank == g.m - g.n + 1
+        assert prof.degrees == tuple(len(a) for a in g.adj)
 
 
 def test_pendant_bunches_tiny():
@@ -198,6 +171,11 @@ def test_graph_file_roundtrip():
         read_graph_file("not a number\n0 1\n")
     with pytest.raises(GraphError):
         read_graph_file("3\n0 1 2\n")
+    # numerals int() reads but that are not ASCII digits
+    with pytest.raises(GraphError, match="bad vertex count"):
+        read_graph_file("\u0663\n0 1\n1 2\n")
+    with pytest.raises(GraphError, match="bad edge line"):
+        read_graph_file("3\n0 1\n1 2\n2 0_0\n")
 
 
 def test_graph_file_vertex_count_checked_before_construction(monkeypatch):
